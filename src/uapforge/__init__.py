@@ -6,15 +6,13 @@ from .attack import (
     UAPState,
     apply_variant,
     craft,
-    inner_data_opt,
-    inner_model_opt,
     init_uap,
     load_uap_artifact,
     save_uap_artifact,
     schedule,
     uap_update,
 )
-from .autodiff import GradResult, finite_difference_gradient
+from .autodiff import finite_difference_gradient
 from .data import Batch, Dataset, load_idx, minibatches, pseudo_labels, save_idx, subset, synth_blobs
 from .errors import ArtifactMissing, ConfigError, CraftingFailed, TrainingDiverged
 from .evaluate import FoolingReport, TransferMatrix, fooling_ratio, report_write, transfer_matrix
@@ -22,15 +20,10 @@ from .models import (
     Ensemble,
     LayerSpec,
     ModelState,
-    backward,
     build_model,
-    ensemble_backward,
-    ensemble_loss,
-    forward_cross_entropy,
     load_checkpoint,
     make_architecture,
     param_distance,
-    predict,
     save_checkpoint,
     train_erm,
 )

@@ -1,4 +1,4 @@
-"""Crafting loop: curriculum schedule, per-batch min-min inner loops, Adam ascent.
+"""Crafting loop: curriculum schedule, per-batch min-min inner step schedule, Adam ascent.
 
 Each mini-batch starts from the clean parameters, minimizes the loss over a
 rho_t-ball of parameters and an r_t-ball around each sample, and then takes a
@@ -129,52 +129,61 @@ def init_uap(sample_shape, epsilon, seed=0, beta1=0.9, beta2=0.999, adam_eps=1e-
     )
 
 
-def inner_model_opt(model, X, Y, rho_t, k_steps):
-    """Minimize the batch loss over the rho_t-ball of parameters.
+def step_schedule(order, k_model, k_data):
+    """The inner minimization's steps for one mini-batch, in order.
 
-    Resets theta-star to the clean parameters, then applies k_steps
-    normalized descent steps of length rho_t / k_steps each, so the total
-    displacement cannot exceed rho_t. Returns a model carrying theta-star;
-    the input model is untouched. rho_t = 0 short-circuits to the input.
+    Each entry is "model" (one step on theta-star) or "data" (one step on
+    the samples). model_first is k_model model steps then k_data data steps,
+    data_first the reverse, alternating interleaves single steps (model
+    before data) until both counts are spent, and none takes no step.
     """
-    if rho_t < 0:
-        raise ValueError("rho_t must be non-negative")
-    if rho_t == 0.0:
-        return model
-    alpha = rho_t / k_steps
-    theta = model.flat_params().astype(np.float64)
-    current = model.with_params(theta)
-    for _ in range(k_steps):
-        _, grad = current.loss_grad(X, Y, "parameters")
-        theta = normalized_descent_step(theta, grad, alpha)
-        current = model.with_params(theta)
-    return current
+    if order == "model_first":
+        return ("model",) * k_model + ("data",) * k_data
+    if order == "data_first":
+        return ("data",) * k_data + ("model",) * k_model
+    if order == "alternating":
+        return tuple(
+            step
+            for k in range(max(k_model, k_data))
+            for step, count in (("model", k_model), ("data", k_data))
+            if k < count
+        )
+    if order == "none":
+        return ()
+    raise ValueError(f"order must be one of {ORDERS}, got {order!r}")
+
+
+def inner_minimize(target, X, Y, steps, rho_t, r_t, alpha_m, alpha_d, clamp_box=False):
+    """Run a step schedule from the clean model and samples; return (model_star, x_star).
+
+    A model step is one normalized descent step of length alpha_m on the
+    parameters, so k_model steps of rho_t / k_model cannot leave the
+    rho_t-ball. A data step is `_data_step` against the current theta-star,
+    so each step sees the other side's latest iterate. Model steps are
+    skipped when rho_t = 0 and data steps when r_t = 0. theta-star and the
+    samples are lifted to float64 at their first step; a side that takes no
+    step is returned as the very input object.
+    """
+    model_star, x = target, X
+    theta = x0 = None
+    for step in steps:
+        if step == "model" and rho_t > 0:
+            if theta is None:
+                theta = target.flat_params().astype(np.float64)
+                model_star = target.with_params(theta)
+            _, grad = model_star.loss_grad(x, Y, "parameters")
+            theta = normalized_descent_step(theta, grad, alpha_m)
+            model_star = target.with_params(theta)
+        elif step == "data" and r_t > 0:
+            if x0 is None:
+                x = x0 = np.asarray(X, dtype=np.float64)
+            x = _data_step(model_star, x, Y, x0, r_t, alpha_d, clamp_box)
+    return model_star, x
 
 
 def _row_norms(arr):
     flat = arr.reshape(arr.shape[0], -1)
     return np.sqrt(np.sum(flat * flat, axis=1))
-
-
-def inner_data_opt(model_star, X, Y, r_t, k_steps, alpha=None, clamp_box=False):
-    """Minimize the per-sample loss over an r_t-ball around each sample.
-
-    Vectorized l2 PGD against the already-optimized model: each sample steps
-    along its own normalized gradient (step size 1.25 * r_t / k_steps unless
-    overridden) and is projected back onto its own ball. Returns float64
-    samples; r_t = 0 short-circuits to the input.
-    """
-    if r_t < 0:
-        raise ValueError("r_t must be non-negative")
-    if r_t == 0.0:
-        return X
-    if alpha is None:
-        alpha = 1.25 * r_t / k_steps
-    x0 = np.asarray(X, dtype=np.float64)
-    x = x0
-    for _ in range(k_steps):
-        x = _data_step(model_star, x, Y, x0, r_t, alpha, clamp_box)
-    return x
 
 
 def _data_step(model_star, x, Y, x0, r_t, alpha, clamp_box):
@@ -208,28 +217,6 @@ def uap_update(uap, model_star, X_star, Y, gamma):
     update, adam = adam_step(uap.adam, -grad.astype(np.float64), gamma)
     delta = np.clip(uap.delta + update, -uap.epsilon, uap.epsilon)
     return UAPState(delta=delta, adam=adam, epsilon=uap.epsilon, seed=uap.seed), loss
-
-
-def _alternating_opt(target, X, Y, rho_t, r_t, alpha_m, alpha_d, k_model, k_data, clamp_box):
-    """Single model and data steps interleaved until both loops are exhausted.
-
-    Each model step sees the current optimized samples and each data step the
-    current theta-star, so the pair evolves jointly; the total step counts
-    match the sequential orders (k_model + k_data).
-    """
-    theta0 = target.flat_params().astype(np.float64)
-    theta = theta0
-    x0 = np.asarray(X, dtype=np.float64)
-    x = x0
-    current = target.with_params(theta)
-    for k in range(max(k_model, k_data)):
-        if k < k_model and rho_t > 0:
-            _, grad = current.loss_grad(x, Y, "parameters")
-            theta = normalized_descent_step(theta, grad, alpha_m)
-            current = target.with_params(theta)
-        if k < k_data and r_t > 0:
-            x = _data_step(current, x, Y, x0, r_t, alpha_d, clamp_box)
-    return current, x
 
 
 @dataclass
@@ -274,9 +261,9 @@ def craft(config, model_or_models, dataset):
 
     Per epoch t: compute the schedule; for every seeded mini-batch fetch the
     cached clean-model pseudo-labels, reset theta-star to the clean
-    parameters, run the inner minimizations in the configured order, then
-    take one Adam ascent step on delta. Ball and clamp invariants are
-    asserted after every batch.
+    parameters, run the configured order's step schedule, then take one
+    Adam ascent step on delta. Ball and clamp invariants are checked after
+    every batch; a violation raises CraftingFailed.
     """
     target = as_attack_target(model_or_models)
     if dataset.sample_shape != target.input_shape:
@@ -295,6 +282,7 @@ def craft(config, model_or_models, dataset):
         adam_eps=resolved.adam_eps,
     )
     shuffle_seed = _subseed(resolved.seed, "shuffle")
+    steps = step_schedule(resolved.order, resolved.k_model, resolved.k_data)
     log = RunLog()
     start_total = time.perf_counter()
     for t in range(1, resolved.epochs + 1):
@@ -304,23 +292,9 @@ def craft(config, model_or_models, dataset):
         for batch in minibatches(dataset, resolved.batch_size, epoch_seed=shuffle_seed ^ t):
             Y = labels[batch.indices]
             try:
-                if resolved.order == "none":
-                    model_star, x_star = target, batch.X
-                elif resolved.order == "model_first":
-                    model_star = inner_model_opt(target, batch.X, Y, rho_t, resolved.k_model)
-                    x_star = inner_data_opt(
-                        model_star, batch.X, Y, r_t, resolved.k_data, clamp_box=resolved.clamp_data_box
-                    )
-                elif resolved.order == "data_first":
-                    x_star = inner_data_opt(
-                        target, batch.X, Y, r_t, resolved.k_data, clamp_box=resolved.clamp_data_box
-                    )
-                    model_star = inner_model_opt(target, x_star, Y, rho_t, resolved.k_model)
-                else:  # alternating
-                    model_star, x_star = _alternating_opt(
-                        target, batch.X, Y, rho_t, r_t, alpha_m, alpha_d,
-                        resolved.k_model, resolved.k_data, resolved.clamp_data_box,
-                    )
+                model_star, x_star = inner_minimize(
+                    target, batch.X, Y, steps, rho_t, r_t, alpha_m, alpha_d, resolved.clamp_data_box
+                )
                 uap, loss = uap_update(uap, model_star, x_star, Y, resolved.gamma)
             except (ValueError, FloatingPointError) as exc:
                 raise CraftingFailed(f"epoch {t}, batch indices {batch.indices[:4]}...: {exc}") from exc
@@ -330,9 +304,13 @@ def craft(config, model_or_models, dataset):
             )
             data_disp = 0.0 if x_star is batch.X else float(_row_norms(np.asarray(x_star) - batch.X).max())
             delta_inf = float(np.abs(uap.delta).max())
-            assert delta_inf <= uap.epsilon, "l-infinity budget violated"
-            assert model_disp <= rho_t + 1e-6, "model neighborhood budget violated"
-            assert data_disp <= r_t + 1e-6, "data neighborhood budget violated"
+            for name, value, bound in (
+                ("l-infinity", delta_inf, uap.epsilon),
+                ("model neighborhood", model_disp, rho_t + 1e-6),
+                ("data neighborhood", data_disp, r_t + 1e-6),
+            ):
+                if not value <= bound:
+                    raise CraftingFailed(f"epoch {t}: {name} budget violated ({value!r} > {bound!r})")
             losses.append(loss)
             model_disps.append(model_disp)
             data_disps.append(data_disp)

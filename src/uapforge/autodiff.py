@@ -10,8 +10,6 @@ per-channel affine normalization, and a fused softmax-cross-entropy. All
 reductions run in a fixed order so repeated runs are bit-identical.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import require_finite
@@ -31,15 +29,6 @@ class Var:
     @property
     def shape(self):
         return np.shape(self.value)
-
-
-@dataclass
-class GradResult:
-    """Gradient of a scalar loss with respect to one differentiated quantity."""
-
-    wrt: str  # "parameters" | "input" | "perturbation"
-    grad: np.ndarray
-    loss: float
 
 
 def leaf(value):

@@ -5,7 +5,7 @@ plus optional overrides, and writes artifacts under
 <output.directory>/{checkpoints,deltas,reports}.
 
 Exit codes are contract values: 0 ok, 2 invalid config, 3 training
-divergence, 4 numerical failure while crafting, 5 missing artifact.
+divergence, 4 numerical failure while crafting, 5 missing or corrupt artifact.
 """
 
 import argparse
@@ -22,9 +22,9 @@ from . import data as D
 from . import evaluate as E
 from . import models as M
 from .errors import ArtifactMissing, ConfigError, CraftingFailed, TrainingDiverged
-from .tensor import array_fingerprint, save_tensor
+from .tensor import TensorFormatError, array_fingerprint, save_tensor
 
-EXIT_CODES = {ConfigError: 2, TrainingDiverged: 3, CraftingFailed: 4, ArtifactMissing: 5}
+EXIT_CODES = {ConfigError: 2, TrainingDiverged: 3, CraftingFailed: 4, ArtifactMissing: 5, TensorFormatError: 5}
 
 ABLATE_AXES = ("rho", "r", "order", "curriculum")
 
@@ -251,7 +251,7 @@ def main(argv=None):
             return cmd_ablate(cfg)
         if args.command == "verify":
             return cmd_verify(cfg, args.paths)
-    except (ConfigError, TrainingDiverged, CraftingFailed, ArtifactMissing) as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         for cls, code in EXIT_CODES.items():
             if isinstance(exc, cls):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import GradResult, Var
+from .autodiff import Var
 from .errors import TrainingDiverged
 from .tensor import array_fingerprint, fnv1a_64, load_tensor, require_finite, save_tensor
 
@@ -141,8 +141,68 @@ def param_count(spec):
     return _param_layout(spec)[1]
 
 
+class AttackTarget:
+    """Loss, loss gradient and chunked prediction shared by models and ensembles.
+
+    A subclass supplies `_check_input` (cast and validate a batch), `logits`,
+    `_cross_entropy` (the loss Var of an input Var plus the parameter nodes
+    it used) and `_collect_param_grad` (those nodes' gradients as one flat
+    vector matching `flat_params`).
+    """
+
+    def predict(self, X, chunk=1024):
+        """Per-sample argmax of logits; ties go to the lowest class index."""
+        X = self._check_input(X)
+        out = np.empty(X.shape[0], dtype=np.int64)
+        for start in range(0, X.shape[0], chunk):
+            out[start : start + chunk] = np.argmax(self.logits(X[start : start + chunk]), axis=1)
+        return out
+
+    def loss(self, X, Y, delta=None, theta=None):
+        loss_var, _ = self._loss_graph(X, Y, delta=delta, theta=theta)
+        return float(loss_var.value)
+
+    def loss_grad(self, X, Y, wrt, delta=None, theta=None, reduction="mean"):
+        """Loss and its gradient w.r.t. one quantity.
+
+        wrt "parameters" -> flat vector matching flat_params(); "input" ->
+        same shape as X; "perturbation" -> same shape as delta (summed over
+        the batch).
+        """
+        if wrt not in ("parameters", "input", "perturbation"):
+            raise ValueError(f"unsupported wrt target {wrt!r}")
+        if wrt == "perturbation" and delta is None:
+            raise ValueError("no perturbation in this graph; pass delta")
+        loss_var, nodes = self._loss_graph(X, Y, delta=delta, theta=theta, reduction=reduction)
+        loss = float(loss_var.value)
+        if not np.isfinite(loss):
+            raise ValueError("non-finite loss")
+        ad.backward(loss_var)
+        if wrt == "parameters":
+            grad = self._collect_param_grad(nodes["parameters"])
+        else:
+            node = nodes[wrt]
+            grad = np.zeros_like(node.value) if node.grad is None else node.grad
+        require_finite(grad, "gradient")
+        return loss, grad
+
+    def _loss_graph(self, X, Y, delta=None, theta=None, reduction="mean"):
+        X = self._check_input(X)
+        Y = np.asarray(Y)
+        if Y.shape != (X.shape[0],):
+            raise ValueError(f"labels shape {Y.shape} != batch ({X.shape[0]},)")
+        x_var = ad.leaf(X)
+        delta_var = None
+        inp = x_var
+        if delta is not None:
+            delta_var = ad.leaf(np.asarray(delta, dtype=X.dtype))
+            inp = ad.add(x_var, delta_var)
+        loss_var, pvars = self._cross_entropy(inp, Y, theta, reduction)
+        return loss_var, {"input": x_var, "perturbation": delta_var, "parameters": pvars}
+
+
 @dataclass
-class ModelState:
+class ModelState(AttackTarget):
     """Layer list plus one flat parameter vector."""
 
     spec: tuple
@@ -155,10 +215,6 @@ class ModelState:
         expected = param_count(self.spec)
         if self.params.shape != (expected,):
             raise ValueError(f"params length {self.params.shape} != spec count ({expected},)")
-
-    @property
-    def dtype(self):
-        return self.params.dtype
 
     def with_params(self, theta):
         """Same architecture, different flat parameter vector.
@@ -181,46 +237,6 @@ class ModelState:
         X = self._check_input(X)
         pvars = self._param_vars(theta)
         return self._forward(ad.leaf(X), pvars).value
-
-    def predict(self, X, chunk=1024):
-        """Per-sample argmax of logits; ties go to the lowest class index."""
-        X = self._check_input(X)
-        out = np.empty(X.shape[0], dtype=np.int64)
-        for start in range(0, X.shape[0], chunk):
-            out[start : start + chunk] = np.argmax(self.logits(X[start : start + chunk]), axis=1)
-        return out
-
-    def loss(self, X, Y, delta=None, theta=None):
-        loss_var, _ = self._loss_graph(X, Y, delta=delta, theta=theta)
-        return float(loss_var.value)
-
-    def loss_grad(self, X, Y, wrt, delta=None, theta=None, reduction="mean"):
-        """Loss and its gradient w.r.t. one quantity.
-
-        wrt "parameters" -> flat vector matching params; "input" -> same shape
-        as X; "perturbation" -> same shape as delta (summed over the batch).
-        """
-        loss_var, nodes = self._loss_graph(X, Y, delta=delta, theta=theta, reduction=reduction)
-        loss = float(loss_var.value)
-        if not np.isfinite(loss):
-            raise ValueError("non-finite loss")
-        ad.backward(loss_var)
-        if wrt == "parameters":
-            grad = self._collect_param_grad(nodes["params"])
-        elif wrt == "input":
-            grad = nodes["input"].grad
-            if grad is None:
-                grad = np.zeros_like(nodes["input"].value)
-        elif wrt == "perturbation":
-            if nodes["delta"] is None:
-                raise ValueError("no perturbation in this graph; pass delta")
-            grad = nodes["delta"].grad
-            if grad is None:
-                grad = np.zeros_like(nodes["delta"].value)
-        else:
-            raise ValueError(f"unsupported wrt target {wrt!r}")
-        require_finite(grad, "gradient")
-        return loss, grad
 
     # -- graph construction ---------------------------------------------
 
@@ -258,21 +274,9 @@ class ModelState:
                 h = ad.normalize(h, layer.mean, layer.std)
         return h
 
-    def _loss_graph(self, X, Y, delta=None, theta=None, reduction="mean"):
-        X = self._check_input(X)
-        Y = np.asarray(Y)
-        if Y.shape != (X.shape[0],):
-            raise ValueError(f"labels shape {Y.shape} != batch ({X.shape[0]},)")
-        x_var = ad.leaf(X)
-        delta_var = None
-        inp = x_var
-        if delta is not None:
-            delta_var = ad.leaf(np.asarray(delta, dtype=self.params.dtype))
-            inp = ad.add(x_var, delta_var)
+    def _cross_entropy(self, inp, Y, theta, reduction):
         pvars = self._param_vars(theta)
-        logits = self._forward(inp, pvars)
-        loss_var = ad.softmax_cross_entropy(logits, Y, reduction=reduction)
-        return loss_var, {"input": x_var, "delta": delta_var, "params": pvars}
+        return ad.softmax_cross_entropy(self._forward(inp, pvars), Y, reduction=reduction), pvars
 
     def _collect_param_grad(self, pvars):
         layout, total = _param_layout(self.spec)
@@ -320,21 +324,6 @@ def build_model(spec, input_shape, seed=0, dtype=np.float32):
     )
 
 
-def forward_cross_entropy(model, X, Y):
-    """Mean softmax-cross-entropy of the batch under the model."""
-    return model.loss(X, Y)
-
-
-def backward(model, X, Y, wrt, delta=None, theta=None):
-    """Gradient of the mean batch loss w.r.t. parameters, input, or perturbation."""
-    loss, grad = model.loss_grad(X, Y, wrt, delta=delta, theta=theta)
-    return GradResult(wrt=wrt, grad=grad, loss=loss)
-
-
-def predict(model, X):
-    return model.predict(X)
-
-
 def param_distance(a, b):
     """Euclidean norm of the parameter difference; specs must match."""
     if a.spec != b.spec:
@@ -380,7 +369,7 @@ def train_erm(model, dataset, epochs, lr, batch, seed=0):
 
 
 @dataclass
-class Ensemble:
+class Ensemble(AttackTarget):
     """Several models attacked through their averaged cross-entropy loss."""
 
     models: tuple
@@ -402,10 +391,6 @@ class Ensemble:
     def num_classes(self):
         return self.models[0].num_classes
 
-    @property
-    def dtype(self):
-        return self.models[0].params.dtype
-
     def fingerprint(self):
         return f"{fnv1a_64('|'.join(m.fingerprint() for m in self.models).encode()):016x}"
 
@@ -413,15 +398,7 @@ class Ensemble:
         return np.concatenate([m.params for m in self.models])
 
     def with_params(self, theta):
-        theta = np.asarray(theta)
-        parts, offset = [], 0
-        for m in self.models:
-            n = m.params.size
-            parts.append(m.with_params(theta[offset : offset + n]))
-            offset += n
-        if offset != theta.size:
-            raise ValueError(f"theta length {theta.size} != ensemble count {offset}")
-        return Ensemble(tuple(parts))
+        return Ensemble(tuple(m.with_params(th) for m, th in zip(self.models, self._split(theta))))
 
     def logits(self, X):
         """Averaged member logits (the ensemble's joint prediction)."""
@@ -430,78 +407,33 @@ class Ensemble:
             out += m.logits(X)
         return out / len(self.models)
 
-    def predict(self, X, chunk=1024):
-        X = np.asarray(X, dtype=self.dtype)
-        out = np.empty(X.shape[0], dtype=np.int64)
-        for start in range(0, X.shape[0], chunk):
-            out[start : start + chunk] = np.argmax(self.logits(X[start : start + chunk]), axis=1)
-        return out
+    def _split(self, theta):
+        """One slice of a flat ensemble parameter vector per member."""
+        theta = np.asarray(theta)
+        sizes = [m.params.size for m in self.models]
+        if theta.size != sum(sizes):
+            raise ValueError(f"theta length {theta.size} != ensemble count {sum(sizes)}")
+        return np.split(theta, np.cumsum(sizes)[:-1])
 
-    def _loss_graph(self, X, Y, delta=None, theta=None, reduction="mean"):
-        X = np.asarray(X, dtype=self.dtype)
-        x_var = ad.leaf(X)
-        delta_var = None
-        inp = x_var
-        if delta is not None:
-            delta_var = ad.leaf(np.asarray(delta, dtype=self.dtype))
-            inp = ad.add(x_var, delta_var)
-        thetas = [None] * len(self.models)
-        if theta is not None:
-            theta = np.asarray(theta)
-            offset = 0
-            for i, m in enumerate(self.models):
-                thetas[i] = theta[offset : offset + m.params.size]
-                offset += m.params.size
+    def _check_input(self, X):
+        return self.models[0]._check_input(X)
+
+    def _cross_entropy(self, inp, Y, theta, reduction):
+        thetas = [None] * len(self.models) if theta is None else self._split(theta)
         all_pvars, terms = [], []
         for m, th in zip(self.models, thetas):
-            m._check_input(X)
-            pvars = m._param_vars(th)
-            logits = m._forward(inp, pvars)
-            terms.append(ad.softmax_cross_entropy(logits, Y, reduction=reduction))
+            term, pvars = m._cross_entropy(inp, Y, th, reduction)
+            terms.append(term)
             all_pvars.append(pvars)
-        loss_var = ad.add_scalars(terms, [1.0 / len(terms)] * len(terms))
-        return loss_var, {"input": x_var, "delta": delta_var, "params": all_pvars}
+        return ad.add_scalars(terms, [1.0 / len(terms)] * len(terms)), all_pvars
 
-    def loss(self, X, Y, delta=None, theta=None):
-        loss_var, _ = self._loss_graph(X, Y, delta=delta, theta=theta)
-        return float(loss_var.value)
-
-    def loss_grad(self, X, Y, wrt, delta=None, theta=None, reduction="mean"):
-        loss_var, nodes = self._loss_graph(X, Y, delta=delta, theta=theta, reduction=reduction)
-        loss = float(loss_var.value)
-        if not np.isfinite(loss):
-            raise ValueError("non-finite loss")
-        ad.backward(loss_var)
-        if wrt == "parameters":
-            grad = np.concatenate(
-                [m._collect_param_grad(pv) for m, pv in zip(self.models, nodes["params"])]
-            )
-        elif wrt == "input":
-            grad = nodes["input"].grad
-        elif wrt == "perturbation":
-            if nodes["delta"] is None:
-                raise ValueError("no perturbation in this graph; pass delta")
-            grad = nodes["delta"].grad
-        else:
-            raise ValueError(f"unsupported wrt target {wrt!r}")
-        require_finite(grad, "gradient")
-        return loss, grad
-
-
-def ensemble_loss(models, X, Y, delta=None):
-    """Arithmetic mean of the members' cross-entropy losses."""
-    return Ensemble(tuple(models)).loss(X, Y, delta=delta)
-
-
-def ensemble_backward(models, X, Y, wrt, delta=None):
-    ens = Ensemble(tuple(models))
-    loss, grad = ens.loss_grad(X, Y, wrt, delta=delta)
-    return GradResult(wrt=wrt, grad=grad, loss=loss)
+    def _collect_param_grad(self, all_pvars):
+        return np.concatenate([m._collect_param_grad(pv) for m, pv in zip(self.models, all_pvars)])
 
 
 def as_attack_target(model_or_models):
     """Normalize a single model or a list into one attackable object."""
-    if isinstance(model_or_models, (ModelState, Ensemble)):
+    if isinstance(model_or_models, AttackTarget):
         return model_or_models
     models = tuple(model_or_models)
     return models[0] if len(models) == 1 else Ensemble(models)

@@ -5,6 +5,7 @@ owns the on-disk container used for perturbation artifacts and model
 checkpoints, plus the small helpers shared by every other module.
 """
 
+import math
 import struct
 
 import numpy as np
@@ -46,25 +47,29 @@ def save_tensor(path, arr):
         f.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
 
 
+def _unpack(blob, offset, fmt, path):
+    if len(blob) < offset + struct.calcsize(fmt):
+        raise TensorFormatError(f"truncated header in {path}")
+    return struct.unpack_from(fmt, blob, offset)
+
+
 def load_tensor(path):
-    """Read an array written by save_tensor."""
+    """Read an array written by save_tensor; a malformed file raises TensorFormatError."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != MAGIC:
         raise TensorFormatError(f"bad magic in {path}")
-    offset = 4
-    version, rank = struct.unpack_from("<II", blob, offset)
-    offset += 8
+    version, rank = _unpack(blob, 4, "<II", path)
     if version != FORMAT_VERSION:
         raise TensorFormatError(f"unsupported container version {version}")
-    shape = struct.unpack_from(f"<{rank}I", blob, offset) if rank else ()
-    offset += 4 * rank
-    (tag,) = struct.unpack_from("<B", blob, offset)
+    shape = _unpack(blob, 12, f"<{rank}I", path)
+    offset = 12 + 4 * rank
+    (tag,) = _unpack(blob, offset, "<B", path)
     offset += 1
     if tag not in _TAG_DTYPES:
         raise TensorFormatError(f"unknown dtype tag {tag}")
     dtype = _TAG_DTYPES[tag]
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    count = math.prod(shape)
     expected = count * dtype.itemsize
     if len(blob) - offset != expected:
         raise TensorFormatError(

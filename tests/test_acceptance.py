@@ -263,7 +263,9 @@ def test_criterion_4_inner_optimality_grid_oracle():
     X = rng.uniform(0.2, 1.0, (6, 1))
     Y = rng.integers(0, 2, 6)
     rho_t = 0.3
-    got = A.inner_model_opt(m, X, Y, rho_t, 10).loss(X, Y)
+    steps = A.step_schedule("model_first", 10, 10)
+    model_star, _ = A.inner_minimize(m, X, Y, steps, rho_t, 0.0, rho_t / 10, 0.0)
+    got = model_star.loss(X, Y)
     best = min(
         naive_ce(np.stack([X[:, 0] * th[0], X[:, 0] * th[1]], axis=1), Y)
         for th in m.params + ball_grid(rho_t)
@@ -276,7 +278,7 @@ def test_criterion_4_inner_optimality_grid_oracle():
     x0 = np.array([[0.5, 0.5]])
     y = np.array([1])
     r_t = 0.25
-    x_star = A.inner_data_opt(md, x0, y, r_t, 10)
+    _, x_star = A.inner_minimize(md, x0, y, steps, 0.0, r_t, 0.0, 1.25 * r_t / 10)
     got_d = md.loss(x_star, y)
     pts = x0 + ball_grid(r_t)
     logits = pts @ md.params.reshape(2, 2)

@@ -1,4 +1,6 @@
-"""Schedule, inner minimizations (vs grid search), Adam ascent step, full craft."""
+"""Schedule, step schedule and inner loop (vs grid search), Adam ascent step, full craft."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from uapforge import attack as A
 from uapforge import data as D
 from uapforge import models as M
 from uapforge import optim
+from uapforge.errors import CraftingFailed
 
 
 def paper_config(**overrides):
@@ -95,6 +98,37 @@ def test_variants():
         A.apply_variant(cfg, "mystery")
 
 
+# -- step schedule ----------------------------------------------------------------
+
+
+def test_step_schedule_orders():
+    assert A.step_schedule("model_first", 2, 3) == ("model", "model", "data", "data", "data")
+    assert A.step_schedule("data_first", 2, 3) == ("data", "data", "data", "model", "model")
+    assert A.step_schedule("alternating", 2, 3) == ("model", "data", "model", "data", "data")
+    assert A.step_schedule("alternating", 3, 1) == ("model", "data", "model", "model")
+    assert A.step_schedule("none", 2, 3) == ()
+    with pytest.raises(ValueError):
+        A.step_schedule("sideways", 2, 3)
+
+
+def inner_model(m, X, Y, rho_t, k):
+    """The inner loop's model side alone: k model steps with r_t = 0."""
+    model_star, x_star = A.inner_minimize(
+        m, X, Y, A.step_schedule("model_first", k, k), rho_t, 0.0, rho_t / k, 0.0
+    )
+    assert x_star is X
+    return model_star
+
+
+def inner_data(m, X, Y, r_t, k):
+    """The inner loop's data side alone: k data steps with rho_t = 0."""
+    model_star, x_star = A.inner_minimize(
+        m, X, Y, A.step_schedule("model_first", k, k), 0.0, r_t, 0.0, 1.25 * r_t / k
+    )
+    assert model_star is m
+    return x_star
+
+
 # -- inner model optimization ----------------------------------------------------
 
 
@@ -107,7 +141,7 @@ def two_param_logistic():
 def test_inner_model_zero_budget_identity():
     m = two_param_logistic()
     X, Y = np.array([[0.8], [0.3]]), np.array([0, 1])
-    out = A.inner_model_opt(m, X, Y, 0.0, 10)
+    out = inner_model(m, X, Y, 0.0, 10)
     assert out is m
 
 
@@ -115,7 +149,7 @@ def test_inner_model_single_step_collapse():
     m = two_param_logistic()
     X, Y = np.array([[0.8], [0.3]]), np.array([0, 0])
     rho_t = 0.2
-    out = A.inner_model_opt(m, X, Y, rho_t, 1)
+    out = inner_model(m, X, Y, rho_t, 1)
     _, grad = m.with_params(m.params.astype(np.float64)).loss_grad(X, Y, "parameters")
     want = optim.normalized_descent_step(m.params.astype(np.float64), grad, rho_t)
     assert np.array_equal(out.flat_params(), want)
@@ -127,7 +161,7 @@ def test_inner_model_budget_respected():
     X = rng.uniform(0, 1, (8, 1))
     Y = rng.integers(0, 2, 8)
     for rho_t in (0.1, 0.5, 2.0):
-        out = A.inner_model_opt(m, X, Y, rho_t, 10)
+        out = inner_model(m, X, Y, rho_t, 10)
         disp = np.linalg.norm(out.flat_params() - m.params)
         assert disp <= rho_t + 1e-6
 
@@ -139,7 +173,7 @@ def test_inner_model_beats_grid_oracle():
     X = rng.uniform(0.2, 1.0, (6, 1))
     Y = rng.integers(0, 2, 6)
     rho_t = 0.3
-    out = A.inner_model_opt(m, X, Y, rho_t, 10)
+    out = inner_model(m, X, Y, rho_t, 10)
     achieved = out.loss(X, Y)
     thetas = m.params + ball_grid(rho_t)  # [g, 2] candidate weight pairs
     w1 = thetas[:, 0][None, :] * X  # logits [x * w1_g] per sample, [6, g]
@@ -154,7 +188,7 @@ def test_inner_model_beats_grid_oracle():
 def test_inner_model_original_untouched():
     m = two_param_logistic()
     before = m.params.tobytes()
-    A.inner_model_opt(m, np.array([[0.5]]), np.array([0]), 0.4, 5)
+    inner_model(m, np.array([[0.5]]), np.array([0]), 0.4, 5)
     assert m.params.tobytes() == before
 
 
@@ -169,7 +203,7 @@ def fixed_linear_2d():
 def test_inner_data_zero_budget_identity():
     m = fixed_linear_2d()
     X = np.array([[0.4, 0.6]])
-    out = A.inner_data_opt(m, X, np.array([0]), 0.0, 10)
+    out = inner_data(m, X, np.array([0]), 0.0, 10)
     assert out is X
 
 
@@ -179,7 +213,7 @@ def test_inner_data_budget_respected():
     X = rng.uniform(0, 1, (5, 2))
     Y = rng.integers(0, 2, 5)
     for r_t in (0.05, 0.3, 1.0):
-        out = A.inner_data_opt(m, X, Y, r_t, 10)
+        out = inner_data(m, X, Y, r_t, 10)
         disp = np.linalg.norm(out - X, axis=1)
         assert disp.max() <= r_t + 1e-6
 
@@ -189,7 +223,7 @@ def test_inner_data_beats_grid_oracle():
     x0 = np.array([[0.5, 0.5]])
     y = np.array([1])
     r_t = 0.25
-    out = A.inner_data_opt(m, x0, y, r_t, 10)
+    out = inner_data(m, x0, y, r_t, 10)
     achieved = m.loss(out, y)
     pts = x0 + ball_grid(r_t)
     W = m.params.reshape(2, 2)
@@ -205,9 +239,9 @@ def test_inner_data_batch_equals_independent_runs():
     rng = np.random.default_rng(3)
     X = rng.uniform(0, 1, (7, 2))
     Y = rng.integers(0, 2, 7)
-    batch_out = A.inner_data_opt(m, X, Y, 0.3, 5)
+    batch_out = inner_data(m, X, Y, 0.3, 5)
     for i in range(7):
-        single = A.inner_data_opt(m, X[i : i + 1], Y[i : i + 1], 0.3, 5)
+        single = inner_data(m, X[i : i + 1], Y[i : i + 1], 0.3, 5)
         # BLAS reduction order varies with batch size; agreement is to the ulp
         assert np.allclose(single[0], batch_out[i], rtol=0, atol=1e-14)
 
@@ -309,9 +343,23 @@ def test_craft_deterministic(blob_setup):
 
 def test_craft_degenerate_paths_identical(blob_setup):
     model, ds = blob_setup
-    d_zero, _ = A.craft(tiny_config(rho=0.0, r=0.0, order="model_first"), model, ds)
     d_none, _ = A.craft(tiny_config(order="none"), model, ds)
-    assert d_zero.tobytes() == d_none.tobytes()
+    for order in A.ORDERS:
+        d_zero, _ = A.craft(tiny_config(rho=0.0, r=0.0, order=order), model, ds)
+        assert d_zero.tobytes() == d_none.tobytes(), order
+
+
+def test_craft_budget_violation_raises(blob_setup, monkeypatch):
+    model, ds = blob_setup
+    ascent = A.uap_update
+
+    def escaping_update(uap, *args):
+        out, loss = ascent(uap, *args)
+        return replace(out, delta=out.delta + 2 * out.epsilon), loss
+
+    monkeypatch.setattr(A, "uap_update", escaping_update)
+    with pytest.raises(CraftingFailed, match="l-infinity budget violated"):
+        A.craft(tiny_config(), model, ds)
 
 
 def test_craft_orders_pairwise_distinct(blob_setup):

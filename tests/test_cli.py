@@ -158,6 +158,16 @@ def test_eval_missing_delta_exits_5(workdir, capsys):
     assert "ghost.uapt" in capsys.readouterr().err
 
 
+def test_eval_truncated_delta_exits_5(workdir, capsys):
+    assert cli.main(["--config", "run.json", "train"]) == 0
+    assert cli.main(["--config", "run.json", "craft"]) == 0
+    (delta,) = delta_paths(workdir)
+    delta.write_bytes(delta.read_bytes()[:10])
+    rc = cli.main(["--config", "run.json", "--set", f"eval.deltas=[\"{delta}\"]", "eval"])
+    assert rc == 5
+    assert "truncated header" in capsys.readouterr().err
+
+
 def test_verify_ok_and_mismatch(workdir, capsys):
     assert cli.main(["--config", "run.json", "train"]) == 0
     assert cli.main(["--config", "run.json", "craft"]) == 0

@@ -222,7 +222,7 @@ def test_ensemble_of_identical_models_equals_single():
     rng = np.random.default_rng(2)
     X = rng.uniform(0, 1, (6, 4))
     Y = rng.integers(0, 3, 6)
-    assert M.ensemble_loss([m, m], X, Y) == pytest.approx(m.loss(X, Y), rel=1e-15)
+    assert M.Ensemble((m, m)).loss(X, Y) == pytest.approx(m.loss(X, Y), rel=1e-15)
 
 
 def test_ensemble_loss_is_mean():
@@ -232,7 +232,7 @@ def test_ensemble_loss_is_mean():
     X = np.random.default_rng(3).uniform(0, 1, (5, 4))
     Y = np.array([0, 1, 2, 0, 1])
     want = 0.5 * (m1.loss(X, Y) + m2.loss(X, Y))
-    assert M.ensemble_loss([m1, m2], X, Y) == pytest.approx(want, rel=1e-14)
+    assert M.Ensemble((m1, m2)).loss(X, Y) == pytest.approx(want, rel=1e-14)
 
 
 def test_ensemble_gradient_is_mean_of_member_gradients():
@@ -242,10 +242,10 @@ def test_ensemble_gradient_is_mean_of_member_gradients():
     X = rng.uniform(0, 1, (5, 4))
     Y = rng.integers(0, 3, 5)
     delta = rng.uniform(-0.1, 0.1, 4)
-    res = M.ensemble_backward([m1, m2], X, Y, "perturbation", delta=delta)
+    _, grad = M.Ensemble((m1, m2)).loss_grad(X, Y, "perturbation", delta=delta)
     g1 = m1.loss_grad(X, Y, "perturbation", delta=delta)[1]
     g2 = m2.loss_grad(X, Y, "perturbation", delta=delta)[1]
-    assert np.max(np.abs(res.grad - 0.5 * (g1 + g2))) <= 1e-12
+    assert np.max(np.abs(grad - 0.5 * (g1 + g2))) <= 1e-12
 
 
 def test_ensemble_rejects_empty_and_mismatched():

@@ -1,7 +1,11 @@
 """Binary tensor container round-trips and FNV fingerprints."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uapforge import tensor as T
 
@@ -46,6 +50,41 @@ def test_truncated_data(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(T.TensorFormatError, match="truncated"):
         T.load_tensor(path)
+
+
+@pytest.mark.parametrize("blob", [
+    b"UAPT",
+    b"UAPT" + struct.pack("<II", 1, 1_000_000),
+    b"UAPT" + struct.pack("<III", 1, 1, 3),
+], ids=["no-version-or-rank", "rank-beyond-file", "no-dtype-tag"])
+def test_short_header(tmp_path, blob):
+    path = tmp_path / "t.uapt"
+    path.write_bytes(blob)
+    with pytest.raises(T.TensorFormatError, match="truncated header"):
+        T.load_tensor(path)
+
+
+_VALID = b"UAPT" + struct.pack("<IIII", 1, 2, 2, 3) + b"\x00" + np.arange(6, dtype="<f4").tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=64),
+    st.binary(max_size=64).map(lambda tail: b"UAPT" + tail),
+    st.binary(max_size=64).map(lambda tail: b"UAPT" + struct.pack("<I", 1) + tail),
+    st.integers(0, len(_VALID)).map(lambda n: _VALID[:n]),
+    st.tuples(st.integers(0, len(_VALID) - 1), st.integers(0, 255)).map(
+        lambda flip: _VALID[: flip[0]] + bytes([flip[1]]) + _VALID[flip[0] + 1 :]
+    ),
+))
+def test_any_bytes_load_or_raise_format_error(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("fuzz") / "t.uapt"
+    path.write_bytes(blob)
+    try:
+        arr = T.load_tensor(path)
+    except T.TensorFormatError:
+        return
+    assert isinstance(arr, np.ndarray) and arr.dtype in (np.float32, np.float64)
 
 
 def test_rejects_non_float(tmp_path):
