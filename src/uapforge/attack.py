@@ -12,8 +12,6 @@ dtype, so the ball invariants hold exactly; the clean model's forward runs at
 its own precision.
 """
 
-import hashlib
-import json
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -23,7 +21,7 @@ from .data import minibatches, pseudo_labels
 from .errors import CraftingFailed
 from .models import as_attack_target
 from .optim import ZERO_GRAD_TOL, AdamState, adam_step, normalized_descent_step
-from .tensor import fnv1a_64, load_tensor, save_tensor
+from .tensor import TensorFormatError, content_hash, fnv1a_64, load_artifact, save_artifact
 
 ORDERS = ("model_first", "data_first", "alternating", "none")
 
@@ -114,7 +112,6 @@ class UAPState:
     delta: np.ndarray
     adam: AdamState
     epsilon: float
-    seed: int = 0
 
 
 def init_uap(sample_shape, epsilon, seed=0, beta1=0.9, beta2=0.999, adam_eps=1e-8):
@@ -125,7 +122,6 @@ def init_uap(sample_shape, epsilon, seed=0, beta1=0.9, beta2=0.999, adam_eps=1e-
         delta=delta,
         adam=AdamState.zeros(sample_shape, dtype=np.float64, beta1=beta1, beta2=beta2, eps_hat=adam_eps),
         epsilon=float(epsilon),
-        seed=seed,
     )
 
 
@@ -216,7 +212,7 @@ def uap_update(uap, model_star, X_star, Y, gamma):
     loss, grad = model_star.loss_grad(X_star, Y, "perturbation", delta=uap.delta)
     update, adam = adam_step(uap.adam, -grad.astype(np.float64), gamma)
     delta = np.clip(uap.delta + update, -uap.epsilon, uap.epsilon)
-    return UAPState(delta=delta, adam=adam, epsilon=uap.epsilon, seed=uap.seed), loss
+    return UAPState(delta=delta, adam=adam, epsilon=uap.epsilon), loss
 
 
 @dataclass
@@ -241,15 +237,16 @@ class RunLog:
             "total_seconds": self.total_seconds,
         }
 
-    def write_csv(self, path):
+    def csv(self):
+        """The per-epoch rows as CSV text with a header line."""
         cols = [
             "epoch", "rho_t", "r_t", "alpha_m", "alpha_d",
             "mean_loss", "max_model_disp", "max_data_disp", "max_delta_inf", "seconds",
         ]
-        with open(path, "w") as f:
-            f.write(",".join(cols) + "\n")
-            for row in self.epochs:
-                f.write(",".join(f"{row[c]:.6g}" if isinstance(row[c], float) else str(row[c]) for c in cols) + "\n")
+        lines = [",".join(cols)]
+        for row in self.epochs:
+            lines.append(",".join(f"{row[c]:.6g}" if isinstance(row[c], float) else str(row[c]) for c in cols))
+        return "\n".join(lines) + "\n"
 
 
 def _subseed(seed, tag):
@@ -333,15 +330,8 @@ def craft(config, model_or_models, dataset):
 # -- artifact files -------------------------------------------------------
 
 
-def file_content_hash(path):
-    with open(path, "rb") as f:
-        return hashlib.sha1(f.read()).hexdigest()
-
-
 def save_uap_artifact(path, delta, config, target, dataset, runlog):
-    """Write the perturbation container plus JSON metadata and the run CSV."""
-    path = str(path)
-    save_tensor(path, delta)
+    """Write the perturbation artifact with its metadata and run CSV; return the metadata."""
     meta = {
         "config": asdict(config),
         "effective_r": config.effective_r(delta.shape),
@@ -349,17 +339,15 @@ def save_uap_artifact(path, delta, config, target, dataset, runlog):
         "dataset_fingerprint": dataset.fingerprint,
         "dataset_name": dataset.name,
         "run_summary": runlog.summary(),
-        "content_hash": file_content_hash(path),
+        "content_hash": content_hash(delta),
     }
-    with open(path + ".json", "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-    runlog.write_csv(path + ".log.csv")
+    save_artifact(path, delta, meta, log_csv=runlog.csv())
     return meta
 
 
 def load_uap_artifact(path):
-    path = str(path)
-    delta = load_tensor(path)
-    with open(path + ".json") as f:
-        meta = json.load(f)
+    """(delta, metadata) of a perturbation artifact; content_hash must be a string and config, if any, an object."""
+    delta, meta = load_artifact(path)
+    if not isinstance(meta.get("content_hash"), str) or not isinstance(meta.get("config", {}), dict):
+        raise TensorFormatError(f"delta artifact {path}: metadata lacks a content_hash string or a config object")
     return delta, meta

@@ -96,11 +96,6 @@ def add(a, b):
     return Var(val, (a, b), vjp)
 
 
-def scale(a, c):
-    """Multiply by a python constant."""
-    return Var(a.value * c, (a,), lambda g: (g * c,))
-
-
 def add_scalars(terms, weights=None):
     """Weighted sum of scalar Vars (used to combine per-model losses)."""
     if not terms:

@@ -4,12 +4,11 @@ Every subcommand reads one JSON config (see config.DEFAULTS for the schema)
 plus optional overrides, and writes artifacts under
 <output.directory>/{checkpoints,deltas,reports}.
 
-Exit codes are contract values: 0 ok, 2 invalid config, 3 training
-divergence, 4 numerical failure while crafting, 5 missing or corrupt artifact.
+Exit codes are contract values: 0 ok, 2 invalid config, 3 training divergence,
+4 numerical failure while crafting, 5 missing or corrupt artifact or sidecar.
 """
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -22,7 +21,7 @@ from . import data as D
 from . import evaluate as E
 from . import models as M
 from .errors import ArtifactMissing, ConfigError, CraftingFailed, TrainingDiverged
-from .tensor import TensorFormatError, array_fingerprint, save_tensor
+from .tensor import TensorFormatError, array_fingerprint, content_hash, file_content_hash, load_tensor, read_sidecar
 
 EXIT_CODES = {ConfigError: 2, TrainingDiverged: 3, CraftingFailed: 4, ArtifactMissing: 5, TensorFormatError: 5}
 
@@ -72,12 +71,6 @@ def _checkpoint_path(cfg, dirs):
     return os.path.join(dirs["checkpoints"], f"{arch}-s{seed}.uapt")
 
 
-def _load_checkpoint(path):
-    if not os.path.exists(path):
-        raise ArtifactMissing(f"checkpoint not found: {path}")
-    return M.load_checkpoint(path)
-
-
 def cmd_train(cfg):
     dirs = _out_dirs(cfg)
     _, train_ds, holdout = load_datasets(cfg)
@@ -108,7 +101,7 @@ def cmd_train(cfg):
 
 def _craft_target(cfg, dirs):
     paths = cfg["model"]["ensemble"] or [_checkpoint_path(cfg, dirs)]
-    models = [_load_checkpoint(p)[0] for p in paths]
+    models = [M.load_checkpoint(p)[0] for p in paths]
     return M.as_attack_target(models)
 
 
@@ -118,11 +111,7 @@ def cmd_craft(cfg):
     atk = C.attack_config(cfg)
     target = _craft_target(cfg, dirs)
     delta, runlog = A.craft(atk, target, craft_ds)
-    tmp = os.path.join(dirs["deltas"], f"{atk.variant}-tmp.uapt")
-    save_tensor(tmp, delta)
-    short = A.file_content_hash(tmp)[:12]
-    path = os.path.join(dirs["deltas"], f"{atk.variant}-{short}.uapt")
-    os.replace(tmp, path)
+    path = os.path.join(dirs["deltas"], f"{atk.variant}-{content_hash(delta)[:12]}.uapt")
     meta = A.save_uap_artifact(path, delta, atk, target, craft_ds, runlog)
     print(f"delta artifact: {path}")
     print(f"content hash: {meta['content_hash']}")
@@ -136,15 +125,13 @@ def cmd_eval(cfg):
     target_paths = cfg["eval"]["targets"] or [_checkpoint_path(cfg, dirs)]
     models = []
     for p in target_paths:
-        model, _ = _load_checkpoint(p)
+        model, _ = M.load_checkpoint(p)
         models.append((os.path.splitext(os.path.basename(p))[0], model))
     delta_paths = cfg["eval"]["deltas"]
     if not delta_paths:
         raise ConfigError("eval.deltas must list at least one perturbation artifact")
     deltas = []
     for p in delta_paths:
-        if not os.path.exists(p):
-            raise ArtifactMissing(f"delta artifact not found: {p}")
         delta, meta = A.load_uap_artifact(p)
         tag = meta.get("config", {}).get("variant", os.path.basename(p))
         deltas.append((f"{tag}:{meta['content_hash'][:8]}", delta))
@@ -195,16 +182,11 @@ def cmd_ablate(cfg):
 def cmd_verify(cfg, paths):
     failures = 0
     for path in paths:
-        if not os.path.exists(path) or not os.path.exists(path + ".json"):
-            raise ArtifactMissing(f"artifact or metadata missing: {path}")
-        with open(path + ".json") as f:
-            meta = json.load(f)
+        meta = read_sidecar(path)
         if "content_hash" in meta:
-            actual = A.file_content_hash(path)
-            ok = actual == meta["content_hash"]
+            ok = file_content_hash(path) == meta["content_hash"]
         elif "params_fingerprint" in meta:
-            model, _ = M.load_checkpoint(path)
-            ok = array_fingerprint(model.params) == meta["params_fingerprint"]
+            ok = array_fingerprint(load_tensor(path)) == meta["params_fingerprint"]
         else:
             ok = False
         print(f"{'OK' if ok else 'MISMATCH'} {path}")

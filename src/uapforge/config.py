@@ -9,6 +9,7 @@ levels (UAPFORGE_ATTACK__EPSILON=0.05); --set flags use dotted paths
 import copy
 import json
 import os
+from dataclasses import asdict
 
 from .attack import AttackConfig, apply_variant
 from .errors import ConfigError
@@ -36,25 +37,7 @@ DEFAULTS = {
         "ensemble": None,  # optional list of checkpoint paths for craft
         "train": {"epochs": 12, "lr": 0.15, "batch": 64, "seed": 0},
     },
-    "attack": {
-        "epsilon": 10.0 / 255.0,
-        "epochs": 20,
-        "batch_size": 125,
-        "k_model": 10,
-        "k_data": 10,
-        "rho": 1.0,
-        "r": 32.0,
-        "gamma": 0.01,
-        "order": "model_first",
-        "curriculum": True,
-        "clamp_data_box": False,
-        "rescale_r": True,
-        "adam_beta1": 0.9,
-        "adam_beta2": 0.999,
-        "adam_eps": 1e-8,
-        "seed": 0,
-        "variant": "dm-uap",
-    },
+    "attack": asdict(AttackConfig()),
     "eval": {"targets": [], "deltas": []},
     "ablate": {"axis": None, "values": []},
     "output": {"directory": "out", "formats": ["json", "csv"]},
@@ -129,11 +112,8 @@ def load_config(path=None, sets=(), environ=None):
 
 def attack_config(cfg):
     """Build the validated AttackConfig from the attack section."""
-    section = dict(cfg["attack"])
-    variant = section.pop("variant", "dm-uap")
     try:
-        base = AttackConfig(**section, variant=variant)
-        return apply_variant(base, variant)
+        return apply_variant(AttackConfig(**cfg["attack"]), cfg["attack"]["variant"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid attack section: {exc}") from exc
 

@@ -13,9 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Var
 from .errors import TrainingDiverged
-from .tensor import array_fingerprint, fnv1a_64, load_tensor, require_finite, save_tensor
-
-LAYER_KINDS = ("dense", "conv2d", "relu", "maxpool2", "flatten", "normalize")
+from .tensor import TensorFormatError, array_fingerprint, fnv1a_64, load_artifact, require_finite, save_artifact
 
 
 @dataclass(frozen=True)
@@ -471,9 +469,7 @@ def make_architecture(name, input_shape, num_classes, hidden=32):
 
 
 def save_checkpoint(model, path, extra=None):
-    """Write params to `<path>` (tensor container) and a JSON sidecar beside it."""
-    path = str(path)
-    save_tensor(path, model.params)
+    """Write params as a tensor artifact whose sidecar describes the model."""
     meta = {
         "spec": [l.to_dict() for l in model.spec],
         "input_shape": list(model.input_shape),
@@ -484,20 +480,19 @@ def save_checkpoint(model, path, extra=None):
     }
     if extra:
         meta.update(extra)
-    with open(path + ".json", "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
+    save_artifact(path, model.params, meta)
 
 
 def load_checkpoint(path):
-    path = str(path)
-    params = load_tensor(path)
-    with open(path + ".json") as f:
-        meta = json.load(f)
-    spec = tuple(LayerSpec.from_dict(d) for d in meta["spec"])
-    model = ModelState(
-        spec=spec,
-        params=params,
-        input_shape=tuple(meta["input_shape"]),
-        num_classes=meta["num_classes"],
-    )
+    """(model, metadata) of a checkpoint; metadata that cannot describe the payload raises TensorFormatError."""
+    params, meta = load_artifact(path)
+    try:
+        spec = tuple(LayerSpec.from_dict(d) for d in meta["spec"])
+        input_shape = tuple(meta["input_shape"])
+        shapes = infer_shapes(spec, input_shape)
+        if not shapes or shapes[-1] != (meta["num_classes"],):
+            raise ValueError(f"num_classes {meta['num_classes']!r} is not the last layer's width")
+        model = ModelState(spec=spec, params=params, input_shape=input_shape, num_classes=meta["num_classes"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise TensorFormatError(f"checkpoint {path}: bad metadata ({type(exc).__name__}: {exc})") from exc
     return model, meta

@@ -1,14 +1,19 @@
-"""Dense tensor utilities: binary container format, content hashes, finiteness checks.
+"""Dense tensor utilities: artifact files, content hashes, finiteness checks.
 
 Tensors are plain numpy arrays (row-major, float32 or float64). This module
-owns the on-disk container used for perturbation artifacts and model
-checkpoints, plus the small helpers shared by every other module.
+owns the files of perturbation artifacts and model checkpoints (a UAPT container
+at <path>, a JSON sidecar at <path>.json and an optional <path>.log.csv).
 """
 
+import hashlib
+import json
 import math
+import os
 import struct
 
 import numpy as np
+
+from .errors import ArtifactMissing
 
 MAGIC = b"UAPT"
 FORMAT_VERSION = 1
@@ -18,7 +23,7 @@ _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
 class TensorFormatError(ValueError):
-    """Raised when a tensor container file is malformed."""
+    """Raised when a tensor container file or its sidecar is malformed."""
 
 
 def require_finite(arr, what="tensor"):
@@ -28,23 +33,47 @@ def require_finite(arr, what="tensor"):
     return arr
 
 
-def save_tensor(path, arr):
-    """Write a float array to the little-endian binary container.
+def _container_bytes(arr):
+    """The little-endian container bytes of a float array.
 
     Layout: magic "UAPT", format version u32, rank u32, one u32 per extent,
     dtype tag u8 (0=f32, 1=f64), then the raw row-major data.
     """
-    arr = np.ascontiguousarray(arr)
+    arr = np.asarray(arr)
     if arr.dtype not in _DTYPE_TAGS:
         raise TensorFormatError(f"unsupported dtype {arr.dtype}, need float32 or float64")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", FORMAT_VERSION))
-        f.write(struct.pack("<I", arr.ndim))
-        for extent in arr.shape:
-            f.write(struct.pack("<I", extent))
-        f.write(struct.pack("<B", _DTYPE_TAGS[arr.dtype]))
-        f.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
+    header = MAGIC + struct.pack(f"<II{arr.ndim}IB", FORMAT_VERSION, arr.ndim, *arr.shape, _DTYPE_TAGS[arr.dtype])
+    return header + arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
+
+
+def content_hash(arr):
+    """SHA-1 hex digest of the container bytes of `arr`, as save_tensor would write them."""
+    return hashlib.sha1(_container_bytes(arr)).hexdigest()
+
+
+def _write_atomic(path, data):
+    """Write through a temp file beside `path` and a rename, so `path` never holds a partial file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _read(path):
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except FileNotFoundError:
+        raise ArtifactMissing(f"artifact file not found: {path}") from None
+
+
+def save_tensor(path, arr):
+    """Write a float array to the container file at `path`."""
+    _write_atomic(path, _container_bytes(arr))
 
 
 def _unpack(blob, offset, fmt, path):
@@ -54,9 +83,8 @@ def _unpack(blob, offset, fmt, path):
 
 
 def load_tensor(path):
-    """Read an array written by save_tensor; a malformed file raises TensorFormatError."""
-    with open(path, "rb") as f:
-        blob = f.read()
+    """Read an array written by save_tensor; raises ArtifactMissing or TensorFormatError."""
+    blob = _read(path)
     if blob[:4] != MAGIC:
         raise TensorFormatError(f"bad magic in {path}")
     version, rank = _unpack(blob, 4, "<II", path)
@@ -95,3 +123,33 @@ def fnv1a_64(data: bytes) -> int:
 def array_fingerprint(arr) -> str:
     """Hex FNV-1a fingerprint of an array's canonical (contiguous) bytes."""
     return f"{fnv1a_64(np.ascontiguousarray(arr).tobytes()):016x}"
+
+
+def file_content_hash(path):
+    """SHA-1 hex digest of the payload file at `path`; equals content_hash of the array saved there."""
+    return hashlib.sha1(_read(path)).hexdigest()
+
+
+def save_artifact(path, arr, meta, log_csv=None):
+    """Write the payload, the `log_csv` text if given and, last, the sidecar, so a partial artifact has none."""
+    save_tensor(path, arr)
+    if log_csv is not None:
+        _write_atomic(f"{path}.log.csv", log_csv.encode())
+    _write_atomic(f"{path}.json", json.dumps(meta, indent=2, sort_keys=True).encode())
+
+
+def read_sidecar(path):
+    """The sidecar's JSON object; raises ArtifactMissing or, for any other content, TensorFormatError."""
+    side = f"{path}.json"
+    try:
+        meta = json.loads(_read(side))
+    except (ValueError, RecursionError) as exc:
+        raise TensorFormatError(f"sidecar {side} is not valid JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise TensorFormatError(f"sidecar {side} holds a {type(meta).__name__}, not a JSON object")
+    return meta
+
+
+def load_artifact(path):
+    """(array, metadata) of the artifact at `path`; raises as load_tensor and read_sidecar do."""
+    return load_tensor(path), read_sidecar(path)

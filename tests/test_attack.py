@@ -10,6 +10,7 @@ from uapforge import data as D
 from uapforge import models as M
 from uapforge import optim
 from uapforge.errors import CraftingFailed
+from uapforge.tensor import file_content_hash
 
 
 def paper_config(**overrides):
@@ -411,5 +412,5 @@ def test_artifact_roundtrip(tmp_path, blob_setup):
     assert meta2["config"]["epsilon"] == cfg.epsilon
     assert meta2["model_fingerprint"] == model.fingerprint()
     assert meta2["dataset_fingerprint"] == ds.fingerprint
-    assert meta2["content_hash"] == A.file_content_hash(path)
+    assert meta2["content_hash"] == file_content_hash(path)
     assert (tmp_path / "delta.uapt.log.csv").exists()

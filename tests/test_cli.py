@@ -8,6 +8,7 @@ import pytest
 
 from uapforge import cli
 from uapforge import config as C
+from uapforge import tensor as T
 from uapforge.errors import ConfigError
 
 
@@ -185,6 +186,84 @@ def test_verify_ok_and_mismatch(workdir, capsys):
 
 def test_verify_missing_exits_5(workdir):
     assert cli.main(["verify", "nothing.uapt"]) == 5
+
+
+def _no_spec(meta):
+    del meta["spec"]
+
+
+def _wrong_input_shape(meta):
+    meta["input_shape"] = [1, 9, 9]  # the mlp's first dense layer takes 64 features, not 81
+
+
+# (command, artifact whose sidecar is damaged, new sidecar text / None to delete / edit of the metadata)
+BAD_SIDECARS = {
+    "eval-delta-not-json": ("eval", "delta", "{not json"),
+    "eval-delta-list": ("eval", "delta", "[]"),
+    "eval-delta-empty-object": ("eval", "delta", "{}"),
+    "eval-delta-missing": ("eval", "delta", None),
+    "eval-delta-config-not-object": ("eval", "delta", '{"content_hash": "0", "config": 5}'),
+    "verify-delta-not-json": ("verify", "delta", "{not json"),
+    "verify-checkpoint-not-json": ("verify", "checkpoint", "{not json"),
+    "craft-checkpoint-not-json": ("craft", "checkpoint", "{not json"),
+    "craft-checkpoint-missing": ("craft", "checkpoint", None),
+    "craft-checkpoint-no-spec": ("craft", "checkpoint", _no_spec),
+    "craft-checkpoint-bad-input-shape": ("craft", "checkpoint", _wrong_input_shape),
+}
+
+
+@pytest.mark.parametrize("command,artifact,sidecar", BAD_SIDECARS.values(), ids=BAD_SIDECARS.keys())
+def test_malformed_or_missing_sidecar_exits_5(workdir, capsys, command, artifact, sidecar):
+    assert cli.main(["--config", "run.json", "train"]) == 0
+    assert cli.main(["--config", "run.json", "craft"]) == 0
+    (delta,) = delta_paths(workdir)
+    path = str(delta) if artifact == "delta" else "out/checkpoints/mlp-s0.uapt"
+    side = path + ".json"
+    if sidecar is None:
+        os.remove(side)
+    elif callable(sidecar):
+        meta = json.loads(open(side).read())
+        sidecar(meta)
+        open(side, "w").write(json.dumps(meta))
+    else:
+        open(side, "w").write(sidecar)
+    capsys.readouterr()
+    argv = {
+        "eval": ["--config", "run.json", "--set", f"eval.deltas=[\"{delta}\"]", "eval"],
+        "verify": ["verify", path],
+        "craft": ["--config", "run.json", "craft"],
+    }[command]
+    assert cli.main(argv) == 5
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "OK" not in captured.out
+
+
+def test_craft_writes_the_payload_once(workdir, monkeypatch):
+    assert cli.main(["--config", "run.json", "train"]) == 0
+    written = []
+    save_tensor = T.save_tensor
+
+    def counting(path, arr):
+        written.append(os.path.basename(path))
+        save_tensor(path, arr)
+
+    monkeypatch.setattr(T, "save_tensor", counting)
+    assert cli.main(["--config", "run.json", "craft"]) == 0
+    (delta,) = delta_paths(workdir)
+    assert written == [delta.name]
+
+
+def test_craft_failing_before_sidecar_is_never_verified_ok(workdir, capsys, fail_writes):
+    assert cli.main(["--config", "run.json", "train"]) == 0
+    fail_writes(".uapt.json")
+    with pytest.raises(OSError):
+        cli.main(["--config", "run.json", "craft"])
+    (delta,) = delta_paths(workdir)  # the payload was written before the sidecar
+    assert not list(delta.parent.glob("*.tmp"))
+    capsys.readouterr()
+    assert cli.main(["verify", str(delta)]) == 5
+    assert "OK" not in capsys.readouterr().out
 
 
 def test_ablate_order_sweep(workdir, capsys):

@@ -1,5 +1,7 @@
-"""Binary tensor container round-trips and FNV fingerprints."""
+"""Binary tensor container and artifact file round-trips, malformed files, FNV fingerprints."""
 
+import json
+import re
 import struct
 
 import numpy as np
@@ -8,11 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uapforge import tensor as T
+from uapforge.errors import ArtifactMissing
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_roundtrip(tmp_path, dtype):
-    arr = np.random.default_rng(0).normal(size=(2, 3, 4)).astype(dtype)
+@pytest.mark.parametrize("dtype,shape", [
+    (np.float32, (2, 3, 4)),
+    (np.float64, (2, 3, 4)),
+    (np.float32, ()),
+    (np.float64, ()),
+], ids=["float32", "float64", "float32-0d", "float64-0d"])
+def test_roundtrip(tmp_path, dtype, shape):
+    arr = np.asarray(np.random.default_rng(0).normal(size=shape)).astype(dtype)
     path = tmp_path / "t.uapt"
     T.save_tensor(path, arr)
     back = T.load_tensor(path)
@@ -85,6 +93,58 @@ def test_any_bytes_load_or_raise_format_error(tmp_path_factory, blob):
     except T.TensorFormatError:
         return
     assert isinstance(arr, np.ndarray) and arr.dtype in (np.float32, np.float64)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=64),
+    _JSON.map(lambda doc: json.dumps(doc).encode()),
+    st.tuples(_JSON, st.integers(0, 40)).map(lambda d: json.dumps(d[0]).encode()[: d[1]]),
+    st.integers(1, 100_000).map(lambda depth: b"[" * depth),
+))
+def test_any_sidecar_bytes_load_or_raise_format_error(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("sidecar") / "t.uapt"
+    T.save_artifact(path, np.zeros(2), {})
+    (path.parent / "t.uapt.json").write_bytes(blob)
+    try:
+        arr, meta = T.load_artifact(path)
+    except T.TensorFormatError:
+        return
+    assert isinstance(meta, dict) and arr.shape == (2,)
+
+
+def test_artifact_roundtrip_writes_payload_log_and_sidecar(tmp_path):
+    arr = np.arange(4, dtype=np.float32)
+    path = tmp_path / "a.uapt"
+    T.save_artifact(path, arr, {"k": [1, 2]}, log_csv="epoch\n1\n")
+    back, meta = T.load_artifact(path)
+    assert np.array_equal(back, arr) and meta == {"k": [1, 2]}
+    assert (tmp_path / "a.uapt.log.csv").read_text() == "epoch\n1\n"
+    assert T.file_content_hash(path) == T.content_hash(arr)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.uapt", "a.uapt.json", "a.uapt.log.csv"]
+
+
+@pytest.mark.parametrize("missing", ["a.uapt", "a.uapt.json"])
+def test_load_artifact_missing_file(tmp_path, missing):
+    path = tmp_path / "a.uapt"
+    T.save_artifact(path, np.zeros(3), {})
+    (tmp_path / missing).unlink()
+    with pytest.raises(ArtifactMissing, match=re.escape(missing) + "$"):
+        T.load_artifact(path)
+
+
+def test_failed_payload_write_leaves_no_file(tmp_path, fail_writes):
+    fail_writes("t.uapt")
+    with pytest.raises(OSError):
+        T.save_tensor(tmp_path / "t.uapt", np.zeros(64))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_rejects_non_float(tmp_path):
