@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data import minibatches, pseudo_labels
-from .errors import CraftingFailed
+from .errors import ConfigError, CraftingFailed
 from .models import as_attack_target
 from .optim import ZERO_GRAD_TOL, AdamState, adam_step, normalized_descent_step
 from .tensor import TensorFormatError, content_hash, fnv1a_64, load_artifact, save_artifact
@@ -264,7 +264,7 @@ def craft(config, model_or_models, dataset):
     """
     target = as_attack_target(model_or_models)
     if dataset.sample_shape != target.input_shape:
-        raise ValueError(
+        raise ConfigError(
             f"dataset sample shape {dataset.sample_shape} != model input {target.input_shape}"
         )
     resolved = replace(config, r=config.effective_r(target.input_shape), rescale_r=False)
@@ -286,13 +286,12 @@ def craft(config, model_or_models, dataset):
         rho_t, r_t, alpha_m, alpha_d = schedule(resolved, t)
         epoch_start = time.perf_counter()
         losses, model_disps, data_disps = [], [0.0], [0.0]
-        for batch in minibatches(dataset, resolved.batch_size, epoch_seed=shuffle_seed ^ t):
-            Y = labels[batch.indices]
+        for batch in minibatches(dataset, resolved.batch_size, epoch_seed=shuffle_seed ^ t, labels=labels):
             try:
                 model_star, x_star = inner_minimize(
-                    target, batch.X, Y, steps, rho_t, r_t, alpha_m, alpha_d, resolved.clamp_data_box
+                    target, batch.X, batch.Y, steps, rho_t, r_t, alpha_m, alpha_d, resolved.clamp_data_box
                 )
-                uap, loss = uap_update(uap, model_star, x_star, Y, resolved.gamma)
+                uap, loss = uap_update(uap, model_star, x_star, batch.Y, resolved.gamma)
             except (ValueError, FloatingPointError) as exc:
                 raise CraftingFailed(f"epoch {t}, batch indices {batch.indices[:4]}...: {exc}") from exc
             model_disp = (

@@ -1,8 +1,8 @@
 """Dataset ingestion, synthetic data, seeded mini-batches, pseudo-label cache.
 
 Images are float arrays in [0, 1] with shape [n, C, H, W] (or [n, d] for flat
-synthetic data). Every dataset carries an FNV-1a fingerprint of its image
-bytes so runs and reports can name their inputs exactly.
+synthetic data). Every dataset carries a fingerprint of its images (see
+tensor.array_fingerprint) so runs and reports can name their inputs exactly.
 """
 
 import struct
@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import fnv1a_64
+from .tensor import array_fingerprint
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -21,7 +21,7 @@ class Dataset:
     images: np.ndarray
     labels: np.ndarray | None = None
     name: str = ""
-    fingerprint: str = field(default="", compare=False)
+    fingerprint: str = field(init=False, compare=False)
 
     def __post_init__(self):
         lo, hi = float(self.images.min()), float(self.images.max())
@@ -31,8 +31,7 @@ class Dataset:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.images.shape[0],):
                 raise ValueError("label count does not match image count")
-        if not self.fingerprint:
-            self.fingerprint = f"{fnv1a_64(np.ascontiguousarray(self.images).tobytes()):016x}"
+        self.fingerprint = array_fingerprint(self.images)
 
     def __len__(self):
         return self.images.shape[0]
@@ -69,7 +68,6 @@ def load_idx(images_path, labels_path, name="", dtype=np.float32):
     if len(raw) != n * rows * cols:
         raise ValueError(f"truncated image data in {images_path}: {len(raw)} bytes, expected {n * rows * cols}")
     images = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, rows, cols).astype(dtype) / 255.0
-    fingerprint = f"{fnv1a_64(raw):016x}"  # over the raw pixel bytes, not the float view
 
     with open(labels_path, "rb") as f:
         magic = _read_u32be(f, "label magic")
@@ -82,7 +80,7 @@ def load_idx(images_path, labels_path, name="", dtype=np.float32):
     if len(raw) != n_labels:
         raise ValueError(f"truncated label data in {labels_path}")
     labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-    return Dataset(images=images, labels=labels, name=name or "idx", fingerprint=fingerprint)
+    return Dataset(images=images, labels=labels, name=name or "idx")
 
 
 def save_idx(dataset, images_path, labels_path):

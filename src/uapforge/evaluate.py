@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
 from .tensor import array_fingerprint
 
 
@@ -47,8 +48,9 @@ def fooling_ratio(model, dataset, delta, model_id="", surrogate="", epsilon=None
     the result is independent of the chunk width.
     """
     delta = np.asarray(delta)
-    if delta.shape != dataset.sample_shape:
-        raise ValueError(f"delta shape {delta.shape} != sample shape {dataset.sample_shape}")
+    for what, shape in (("delta", delta.shape), ("model input", model.input_shape)):
+        if shape != dataset.sample_shape:
+            raise ConfigError(f"{what} shape {shape} != sample shape {dataset.sample_shape}")
     if epsilon is not None and float(np.abs(delta).max()) > epsilon:
         warnings.warn(f"delta exceeds the recorded budget {epsilon}", stacklevel=2)
     X = dataset.images

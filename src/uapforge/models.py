@@ -13,7 +13,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Var
 from .errors import TrainingDiverged
-from .tensor import TensorFormatError, array_fingerprint, fnv1a_64, load_artifact, require_finite, save_artifact
+from .tensor import TensorFormatError, array_fingerprint, load_artifact, require_finite, save_artifact
 
 
 @dataclass(frozen=True)
@@ -116,22 +116,24 @@ def infer_shapes(spec, input_shape):
 
 
 def _param_layout(spec):
-    """[(offset, shape)] for every weight/bias array, in layer order."""
+    """[(offset, shape, fan_in)] for every weight/bias array, in layer order, and the total count."""
     layout = []
     offset = 0
     for layer in spec:
         if layer.kind == "dense":
+            fan_in = layer.in_features
             shapes = [(layer.in_features, layer.out_features)]
             if layer.bias:
                 shapes.append((layer.out_features,))
-            for shape in shapes:
-                layout.append((offset, shape))
-                offset += int(np.prod(shape))
         elif layer.kind == "conv2d":
             k = layer.kernel
-            for shape in ((layer.out_channels, layer.in_channels, k, k), (layer.out_channels,)):
-                layout.append((offset, shape))
-                offset += int(np.prod(shape))
+            fan_in = layer.in_channels * k * k
+            shapes = [(layer.out_channels, layer.in_channels, k, k), (layer.out_channels,)]
+        else:
+            continue
+        for shape in shapes:
+            layout.append((offset, shape, fan_in))
+            offset += int(np.prod(shape))
     return layout, offset
 
 
@@ -224,7 +226,7 @@ class ModelState(AttackTarget):
 
     def fingerprint(self):
         spec_blob = json.dumps([l.to_dict() for l in self.spec], sort_keys=True).encode()
-        return f"{fnv1a_64(spec_blob + np.ascontiguousarray(self.params).tobytes()):016x}"
+        return array_fingerprint(spec_blob, self.params)
 
     # -- the interface the attack and evaluation drive ------------------
 
@@ -250,7 +252,7 @@ class ModelState(AttackTarget):
         layout, total = _param_layout(self.spec)
         if theta.shape != (total,):
             raise ValueError(f"theta length {theta.shape} != ({total},)")
-        return [Var(theta[o : o + int(np.prod(s))].reshape(s)) for o, s in layout]
+        return [Var(theta[o : o + int(np.prod(s))].reshape(s)) for o, s, _ in layout]
 
     def _forward(self, x_var, pvars):
         h = x_var
@@ -279,7 +281,7 @@ class ModelState(AttackTarget):
     def _collect_param_grad(self, pvars):
         layout, total = _param_layout(self.spec)
         grad = np.zeros(total, dtype=self.params.dtype)
-        for (offset, shape), pv in zip(layout, pvars):
+        for (offset, shape, _), pv in zip(layout, pvars):
             if pv.grad is not None:
                 grad[offset : offset + int(np.prod(shape))] = pv.grad.reshape(-1)
         return grad
@@ -298,22 +300,10 @@ def build_model(spec, input_shape, seed=0, dtype=np.float32):
     rng = np.random.default_rng(seed)
     layout, total = _param_layout(spec)
     params = np.empty(total, dtype=np.float64)
-    i = 0
-    for layer in spec:
-        if layer.kind == "dense":
-            fan_in = layer.in_features
-            arrays = 2 if layer.bias else 1
-        elif layer.kind == "conv2d":
-            fan_in = layer.in_channels * layer.kernel * layer.kernel
-            arrays = 2
-        else:
-            continue
+    for offset, shape, fan_in in layout:  # each layer's weight, then its bias when present
         bound = 1.0 / np.sqrt(fan_in)
-        for _ in range(arrays):  # weight, then bias when present
-            offset, shape = layout[i]
-            n = int(np.prod(shape))
-            params[offset : offset + n] = rng.uniform(-bound, bound, size=n)
-            i += 1
+        n = int(np.prod(shape))
+        params[offset : offset + n] = rng.uniform(-bound, bound, size=n)
     return ModelState(
         spec=spec,
         params=params.astype(dtype),
@@ -390,7 +380,7 @@ class Ensemble(AttackTarget):
         return self.models[0].num_classes
 
     def fingerprint(self):
-        return f"{fnv1a_64('|'.join(m.fingerprint() for m in self.models).encode()):016x}"
+        return array_fingerprint("|".join(m.fingerprint() for m in self.models).encode())
 
     def flat_params(self):
         return np.concatenate([m.params for m in self.models])

@@ -1,4 +1,4 @@
-"""Dense tensor utilities: artifact files, content hashes, finiteness checks.
+"""Dense tensor utilities: artifact files, content hashes and fingerprints, finiteness checks.
 
 Tensors are plain numpy arrays (row-major, float32 or float64). This module
 owns the files of perturbation artifacts and model checkpoints (a UAPT container
@@ -33,8 +33,8 @@ def require_finite(arr, what="tensor"):
     return arr
 
 
-def _container_bytes(arr):
-    """The little-endian container bytes of a float array.
+def _container_parts(arr):
+    """The little-endian container of a float array as (header bytes, C-contiguous data array).
 
     Layout: magic "UAPT", format version u32, rank u32, one u32 per extent,
     dtype tag u8 (0=f32, 1=f64), then the raw row-major data.
@@ -43,12 +43,25 @@ def _container_bytes(arr):
     if arr.dtype not in _DTYPE_TAGS:
         raise TensorFormatError(f"unsupported dtype {arr.dtype}, need float32 or float64")
     header = MAGIC + struct.pack(f"<II{arr.ndim}IB", FORMAT_VERSION, arr.ndim, *arr.shape, _DTYPE_TAGS[arr.dtype])
-    return header + arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
+    return header, np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
 
 
-def content_hash(arr):
-    """SHA-1 hex digest of the container bytes of `arr`, as save_tensor would write them."""
-    return hashlib.sha1(_container_bytes(arr)).hexdigest()
+def content_hash(*parts):
+    """SHA-1 hex digest over `parts` in order: a byte string as it is, an array as save_tensor would write it.
+
+    The header and the array buffer are fed to the hash separately, so no
+    copy of the array's bytes is made.
+    """
+    h = hashlib.sha1()
+    for part in parts:
+        for chunk in (part,) if isinstance(part, bytes) else _container_parts(part):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def array_fingerprint(*parts):
+    """The first 16 hex digits of content_hash(*parts): how sidecars and reports name arrays, models and datasets."""
+    return content_hash(*parts)[:16]
 
 
 def _write_atomic(path, data):
@@ -73,7 +86,8 @@ def _read(path):
 
 def save_tensor(path, arr):
     """Write a float array to the container file at `path`."""
-    _write_atomic(path, _container_bytes(arr))
+    header, data = _container_parts(arr)
+    _write_atomic(path, header + data.tobytes())
 
 
 def _unpack(blob, offset, fmt, path):
@@ -113,16 +127,11 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 
 
 def fnv1a_64(data: bytes) -> int:
-    """64-bit FNV-1a over a byte string."""
+    """64-bit FNV-1a over a byte string; derives the seed salts, so its values fix every seed."""
     h = _FNV_OFFSET
     for byte in data:
         h = ((h ^ byte) * _FNV_PRIME) & _U64
     return h
-
-
-def array_fingerprint(arr) -> str:
-    """Hex FNV-1a fingerprint of an array's canonical (contiguous) bytes."""
-    return f"{fnv1a_64(np.ascontiguousarray(arr).tobytes()):016x}"
 
 
 def file_content_hash(path):

@@ -210,6 +210,7 @@ def experiment(tmp_path_factory):
     return out
 
 
+@pytest.mark.slow
 def test_criterion_2_budget_invariants_full_run(experiment):
     started = time.perf_counter()
     # the craft loop asserts all three invariants every batch; re-check the logs
@@ -292,6 +293,7 @@ def test_criterion_4_inner_optimality_grid_oracle():
         f"model {got:.6f}<=grid+1e-3 {best:.6f}, data {got_d:.6f}<=grid+1e-3 {best_d:.6f}")
 
 
+@pytest.mark.slow
 def test_criterion_5_degenerate_equivalence(experiment):
     started = time.perf_counter()
     model, sub, _, base = experiment["setups"][0]
@@ -302,6 +304,7 @@ def test_criterion_5_degenerate_equivalence(experiment):
     _ok("criterion-5 degenerate-equivalence", started)
 
 
+@pytest.mark.slow
 def test_criterion_6_determinism(experiment, tmp_path):
     started = time.perf_counter()
     model, sub, hold, base = experiment["setups"][0]
@@ -330,6 +333,7 @@ def _per_seed(experiment):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_limited_data_directional_echo(experiment):
     started = time.perf_counter()
     dm = float(np.mean(experiment["fooling"]["dm"]))
@@ -343,6 +347,7 @@ def test_criterion_7_limited_data_directional_echo(experiment):
         f"dm {dm:.4f} vs rho=r=0 {spgd:.4f} (+{margin * 100:.2f}pp over {len(EXPERIMENT['seeds'])} seeds)")
 
 
+@pytest.mark.slow
 def test_criterion_8_order_ablation_echo(experiment):
     started = time.perf_counter()
     mf = float(np.mean(experiment["fooling"]["dm"]))

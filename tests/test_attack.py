@@ -1,5 +1,8 @@
 """Schedule, step schedule and inner loop (vs grid search), Adam ascent step, full craft."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +13,7 @@ from uapforge import data as D
 from uapforge import models as M
 from uapforge import optim
 from uapforge.errors import CraftingFailed
-from uapforge.tensor import file_content_hash
+from uapforge.tensor import content_hash, file_content_hash
 
 
 def paper_config(**overrides):
@@ -361,6 +364,48 @@ def test_craft_budget_violation_raises(blob_setup, monkeypatch):
     monkeypatch.setattr(A, "uap_update", escaping_update)
     with pytest.raises(CraftingFailed, match="l-infinity budget violated"):
         A.craft(tiny_config(), model, ds)
+
+
+# a tiny craft whose ascent step leaves the l-infinity ball; prints the optimize flag and the error
+_ESCAPING_CRAFT = """
+import sys
+from dataclasses import replace
+from uapforge import attack as A, data as D, models as M
+from uapforge.errors import CraftingFailed
+
+ascent = A.uap_update
+
+
+def escaping_update(uap, *args):
+    out, loss = ascent(uap, *args)
+    return replace(out, delta=out.delta + 2 * out.epsilon), loss
+
+
+A.uap_update = escaping_update
+ds = D.synth_blobs(3, 30, 6, spread=0.1, seed=0)
+model = M.build_model([M.dense(6, 3)], (6,), seed=0)
+try:
+    A.craft(A.AttackConfig(epsilon=0.05, epochs=1, batch_size=10, k_model=1, k_data=1), model, ds)
+except CraftingFailed as exc:
+    print(sys.flags.optimize, exc)
+"""
+
+
+def test_craft_budget_violation_raises_under_python_O():
+    src = os.path.dirname(os.path.dirname(A.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", _ESCAPING_CRAFT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("1 ") and "l-infinity budget violated" in proc.stdout, proc.stdout
+
+
+def test_seed_salts_and_initial_delta_pinned():
+    # FNV-1a seed salts and the initial delta draw: these fix every crafted delta's bytes
+    assert [A._subseed(s, "init-delta") for s in (0, 3)] == [11545150317119548076, 11545150317119548079]
+    assert [A._subseed(s, "shuffle") for s in (0, 3)] == [5151100648028894894, 5151100648028894893]
+    uap = A.init_uap((1, 8, 8), 0.1, seed=A._subseed(3, "init-delta"))
+    assert content_hash(uap.delta) == "55255b8fc0e4471c02c529781e68770a36e45c96"
 
 
 def test_craft_orders_pairwise_distinct(blob_setup):

@@ -103,8 +103,10 @@ def test_train_craft_eval_pipeline(workdir, capsys):
     rc = cli.main(["--config", "run.json", "--set", f"eval.deltas=[\"{paths[0]}\"]", "eval"])
     assert rc == 0
     reports = list((workdir / "out" / "reports").iterdir())
-    assert any(p.suffix == ".json" for p in reports)
     assert any(p.suffix == ".csv" for p in reports)
+    report = json.loads(next(p for p in reports if p.suffix == ".json").read_text())
+    # one identity per array: the report names the delta by a prefix of its content hash
+    assert [r["delta_hash"] for r in report["reports"]] == [meta["content_hash"][:16]]
 
 
 def test_craft_variant_recorded(workdir):
@@ -237,6 +239,31 @@ def test_malformed_or_missing_sidecar_exits_5(workdir, capsys, command, artifact
     captured = capsys.readouterr()
     assert "error:" in captured.err
     assert "OK" not in captured.out
+
+
+NINE = ["--set", "dataset.shape=[1,9,9]"]
+ON_NINE = [*NINE, "--set", "model.checkpoint=nine.uapt"]
+
+# (commands that must succeed first, the command that must exit 2); {delta} is the crafted delta
+SHAPE_MISMATCHES = {
+    "craft": ([["train"]], [*NINE, "craft"]),
+    "ablate": ([["train"]], [*NINE, "ablate", "--axis", "order", "--values", '["none"]']),
+    "eval-delta": ([["train"], ["craft"]], [*NINE, "--set", 'eval.deltas=["{delta}"]', "eval"]),
+    "eval-target": ([["train"], [*ON_NINE, "train"], [*ON_NINE, "craft"]],
+                    [*NINE, "--set", 'eval.targets=["out/checkpoints/mlp-s0.uapt"]',
+                     "--set", 'eval.deltas=["{delta}"]', "eval"]),
+}
+
+
+@pytest.mark.parametrize("setup,argv", SHAPE_MISMATCHES.values(), ids=SHAPE_MISMATCHES.keys())
+def test_shape_mismatch_exits_2(workdir, capsys, setup, argv):
+    for args in setup:
+        assert cli.main(["--config", "run.json", *args]) == 0
+    delta = next(iter(delta_paths(workdir)), "")
+    capsys.readouterr()
+    assert cli.main(["--config", "run.json", *(a.format(delta=delta) for a in argv)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "shape" in err, err
 
 
 def test_craft_writes_the_payload_once(workdir, monkeypatch):

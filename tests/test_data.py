@@ -36,6 +36,14 @@ def test_load_idx_shapes_and_scaling(tmp_path):
     assert len(ds.fingerprint) == 16
 
 
+def test_load_idx_fingerprint_is_the_images_fingerprint(tmp_path):
+    imgs = np.random.default_rng(1).integers(0, 256, (20, 5, 4), dtype=np.uint8)
+    ds = D.load_idx(*write_idx_pair(tmp_path, imgs, np.zeros(20, dtype=np.uint8)))
+    assert ds.fingerprint == D.Dataset(images=ds.images.copy(), labels=ds.labels).fingerprint
+    with pytest.raises(TypeError):
+        D.Dataset(images=ds.images, fingerprint="0" * 16)
+
+
 def test_load_idx_bad_magic(tmp_path):
     ip = tmp_path / "images.idx"
     lp = tmp_path / "labels.idx"

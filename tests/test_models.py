@@ -5,13 +5,13 @@ import pytest
 
 from uapforge import data as D
 from uapforge import models as M
-from uapforge.tensor import array_fingerprint
+from uapforge.tensor import array_fingerprint, content_hash
 
 
 def naive_forward(model, x):
     """Plain-loop re-implementation of the forward pass for one sample."""
     layout, _ = M._param_layout(model.spec)
-    arrays = [model.params[o : o + int(np.prod(s))].reshape(s) for o, s in layout]
+    arrays = [model.params[o : o + int(np.prod(s))].reshape(s) for o, s, _ in layout]
     it = iter(arrays)
     h = np.array(x, dtype=np.float64)
     for layer in model.spec:
@@ -271,6 +271,25 @@ def test_checkpoint_roundtrip(tmp_path):
     assert back.input_shape == m.input_shape
     assert meta["seed"] == 6
     assert meta["params_fingerprint"] == array_fingerprint(back.params)
+
+
+# content_hash of the seeded initial params at 1x16x16, 3 classes, hidden 12, seed 7. They come from
+# RNG draws alone (no BLAS), so they hold on any machine and guard the init's draw order.
+INIT_PARAM_HASHES = {
+    ("linear", "float32"): "82b843a8026a6351f9d28f5ed0b5044c97b96d2d",
+    ("linear", "float64"): "f40103b7f4b4abe5f29ccd3cf8a1c227a2b02dcd",
+    ("mlp", "float32"): "258f07565731c81e541fc44ff081c9b652d47dbf",
+    ("mlp", "float64"): "e9acc36da375049853ebdee990da9157e96d9969",
+    ("cnn_small", "float32"): "491f82f779ffb776818ca81ba6aa76b6258f6845",
+    ("cnn_small", "float64"): "d30439c7161ac3859cb68229b55f2d400d7ea12d",
+}
+
+
+@pytest.mark.parametrize("arch,dtype", INIT_PARAM_HASHES)
+def test_build_model_params_pinned(arch, dtype):
+    spec = M.make_architecture(arch, (1, 16, 16), 3, hidden=12)
+    model = M.build_model(spec, (1, 16, 16), seed=7, dtype=dtype)
+    assert content_hash(model.params) == INIT_PARAM_HASHES[arch, dtype]
 
 
 def test_fingerprint_changes_with_params():

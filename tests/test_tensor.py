@@ -1,5 +1,6 @@
-"""Binary tensor container and artifact file round-trips, malformed files, FNV fingerprints."""
+"""Binary tensor container and artifact file round-trips, malformed files, content hashes and fingerprints."""
 
+import hashlib
 import json
 import re
 import struct
@@ -158,6 +159,23 @@ def test_save_identical_bytes(tmp_path):
     T.save_tensor(p1, arr)
     T.save_tensor(p2, arr)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+FINGERPRINTED = {
+    "float32": np.arange(6, dtype=np.float32).reshape(2, 3),
+    "float64": np.linspace(0.0, 1.0, 7),
+    "float64-strided": np.arange(12.0).reshape(3, 4)[:, ::2],
+    "float64-0d": np.array(2.5),
+}
+
+
+@pytest.mark.parametrize("arr", FINGERPRINTED.values(), ids=FINGERPRINTED.keys())
+def test_fingerprint_is_content_hash_prefix(tmp_path, arr):
+    assert T.array_fingerprint(arr) == T.content_hash(arr)[:16]
+    path = tmp_path / "a.uapt"
+    T.save_tensor(path, arr)
+    assert T.content_hash(arr) == T.content_hash(arr.copy()) == T.file_content_hash(path)
+    assert T.content_hash(b"spec", arr) == hashlib.sha1(b"spec" + path.read_bytes()).hexdigest()
 
 
 def test_fnv1a_known_vectors():
