@@ -345,8 +345,14 @@ def save_uap_artifact(path, delta, config, target, dataset, runlog):
 
 
 def load_uap_artifact(path):
-    """(delta, metadata) of a perturbation artifact; content_hash must be a string and config, if any, an object."""
+    """(delta, metadata) of a perturbation artifact.
+
+    The sidecar's content_hash must be a string equal to the payload's hash,
+    and its config, if any, an object.
+    """
     delta, meta = load_artifact(path)
     if not isinstance(meta.get("content_hash"), str) or not isinstance(meta.get("config", {}), dict):
         raise TensorFormatError(f"delta artifact {path}: metadata lacks a content_hash string or a config object")
+    if content_hash(delta) != meta["content_hash"]:
+        raise TensorFormatError(f"delta artifact {path}: payload does not match the sidecar's content_hash")
     return delta, meta

@@ -26,10 +26,6 @@ class Var:
         self.vjp = vjp  # callable(grad_out) -> one gradient per parent
         self.grad = None
 
-    @property
-    def shape(self):
-        return np.shape(self.value)
-
 
 def leaf(value):
     return Var(np.asarray(value))
@@ -51,7 +47,7 @@ def _topo_order(root):
     return order
 
 
-def backward(root, seed=1.0):
+def backward(root):
     """Accumulate gradients of `root` (a scalar) into every reachable Var.
 
     Visits each node exactly once, children before parents; accumulation order
@@ -62,7 +58,7 @@ def backward(root, seed=1.0):
     order = _topo_order(root)
     for node in order:
         node.grad = None
-    root.grad = np.asarray(seed, dtype=np.asarray(root.value).dtype)
+    root.grad = np.asarray(1.0, dtype=np.asarray(root.value).dtype)
     for node in reversed(order):
         if node.grad is None or node.vjp is None:
             continue
@@ -96,12 +92,10 @@ def add(a, b):
     return Var(val, (a, b), vjp)
 
 
-def add_scalars(terms, weights=None):
+def add_scalars(terms, weights):
     """Weighted sum of scalar Vars (used to combine per-model losses)."""
     if not terms:
         raise ValueError("empty term list")
-    if weights is None:
-        weights = [1.0] * len(terms)
     val = sum(w * t.value for w, t in zip(weights, terms))
 
     def vjp(g):

@@ -85,7 +85,7 @@ def fooling_ratio(model, dataset, delta, model_id="", surrogate="", epsilon=None
     )
 
 
-def transfer_matrix(models, deltas, dataset, chunk=512):
+def transfer_matrix(models, deltas, dataset):
     """Cross table of fooling ratios.
 
     `models` is a list of (target_id, model); `deltas` a list of
@@ -96,7 +96,7 @@ def transfer_matrix(models, deltas, dataset, chunk=512):
     for tag, delta in deltas:
         row = []
         for target_id, model in models:
-            rep = fooling_ratio(model, dataset, delta, model_id=target_id, surrogate=tag, chunk=chunk)
+            rep = fooling_ratio(model, dataset, delta, model_id=target_id, surrogate=tag)
             row.append(rep.fooling_ratio)
             reports.append(rep)
         ratios.append(row)

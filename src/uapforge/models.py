@@ -1,8 +1,10 @@
 """Small classifier models: definition, seeded init, ERM training, checkpoints.
 
 A model is a list of LayerSpec entries plus one flat parameter vector. The
-forward graph is rebuilt per call on the autodiff tape, which keeps parameter
-overrides (the attack's theta-star) and shared perturbations cheap to express.
+forward graph is rebuilt per call on the autodiff tape, so a shared
+perturbation is one more leaf. Parameters enter only through `with_params`:
+the attack's theta-star and each ERM step are the same model at another
+parameter vector.
 """
 
 import json
@@ -12,6 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
+from .data import minibatches
 from .errors import TrainingDiverged
 from .tensor import TensorFormatError, array_fingerprint, load_artifact, require_finite, save_artifact
 
@@ -144,10 +147,9 @@ def param_count(spec):
 class AttackTarget:
     """Loss, loss gradient and chunked prediction shared by models and ensembles.
 
-    A subclass supplies `_check_input` (cast and validate a batch), `logits`,
-    `_cross_entropy` (the loss Var of an input Var plus the parameter nodes
-    it used) and `_collect_param_grad` (those nodes' gradients as one flat
-    vector matching `flat_params`).
+    A subclass supplies `_check_input` (cast and validate a batch), `logits`
+    and `_cross_entropy` (the loss Var of an input Var plus the parameter
+    nodes it used, in `flat_params` order).
     """
 
     def predict(self, X, chunk=1024):
@@ -158,11 +160,11 @@ class AttackTarget:
             out[start : start + chunk] = np.argmax(self.logits(X[start : start + chunk]), axis=1)
         return out
 
-    def loss(self, X, Y, delta=None, theta=None):
-        loss_var, _ = self._loss_graph(X, Y, delta=delta, theta=theta)
+    def loss(self, X, Y, delta=None):
+        loss_var, _ = self._loss_graph(X, Y, delta=delta)
         return float(loss_var.value)
 
-    def loss_grad(self, X, Y, wrt, delta=None, theta=None, reduction="mean"):
+    def loss_grad(self, X, Y, wrt, delta=None, reduction="mean"):
         """Loss and its gradient w.r.t. one quantity.
 
         wrt "parameters" -> flat vector matching flat_params(); "input" ->
@@ -173,20 +175,23 @@ class AttackTarget:
             raise ValueError(f"unsupported wrt target {wrt!r}")
         if wrt == "perturbation" and delta is None:
             raise ValueError("no perturbation in this graph; pass delta")
-        loss_var, nodes = self._loss_graph(X, Y, delta=delta, theta=theta, reduction=reduction)
+        loss_var, nodes = self._loss_graph(X, Y, delta=delta, reduction=reduction)
         loss = float(loss_var.value)
         if not np.isfinite(loss):
             raise ValueError("non-finite loss")
         ad.backward(loss_var)
-        if wrt == "parameters":
-            grad = self._collect_param_grad(nodes["parameters"])
+        if wrt != "parameters":
+            grad = _grad_of(nodes[wrt])
+        elif nodes["parameters"]:
+            # each block at its own parameters' dtype, as flat_params concatenates them
+            grad = np.concatenate([_grad_of(p).astype(p.value.dtype, copy=False).reshape(-1)
+                                   for p in nodes["parameters"]])
         else:
-            node = nodes[wrt]
-            grad = np.zeros_like(node.value) if node.grad is None else node.grad
+            grad = np.zeros(0, dtype=self.flat_params().dtype)
         require_finite(grad, "gradient")
         return loss, grad
 
-    def _loss_graph(self, X, Y, delta=None, theta=None, reduction="mean"):
+    def _loss_graph(self, X, Y, delta=None, reduction="mean"):
         X = self._check_input(X)
         Y = np.asarray(Y)
         if Y.shape != (X.shape[0],):
@@ -197,8 +202,12 @@ class AttackTarget:
         if delta is not None:
             delta_var = ad.leaf(np.asarray(delta, dtype=X.dtype))
             inp = ad.add(x_var, delta_var)
-        loss_var, pvars = self._cross_entropy(inp, Y, theta, reduction)
+        loss_var, pvars = self._cross_entropy(inp, Y, reduction)
         return loss_var, {"input": x_var, "perturbation": delta_var, "parameters": pvars}
+
+
+def _grad_of(node):
+    return np.zeros_like(node.value) if node.grad is None else node.grad
 
 
 @dataclass
@@ -217,7 +226,8 @@ class ModelState(AttackTarget):
             raise ValueError(f"params length {self.params.shape} != spec count ({expected},)")
 
     def with_params(self, theta):
-        """Same architecture, different flat parameter vector.
+        """Same architecture, different flat parameter vector: the one way to
+        evaluate a model at other parameters.
 
         The new model adopts `theta`'s dtype, so a float64 vector yields a
         float64-compute model (used for exact neighborhood accounting).
@@ -233,10 +243,9 @@ class ModelState(AttackTarget):
     def flat_params(self):
         return self.params
 
-    def logits(self, X, theta=None):
+    def logits(self, X):
         X = self._check_input(X)
-        pvars = self._param_vars(theta)
-        return self._forward(ad.leaf(X), pvars).value
+        return self._forward(ad.leaf(X), self._param_vars()).value
 
     # -- graph construction ---------------------------------------------
 
@@ -247,12 +256,9 @@ class ModelState(AttackTarget):
         require_finite(X, "model input")
         return X
 
-    def _param_vars(self, theta=None):
-        theta = self.params if theta is None else np.asarray(theta, dtype=self.params.dtype)
-        layout, total = _param_layout(self.spec)
-        if theta.shape != (total,):
-            raise ValueError(f"theta length {theta.shape} != ({total},)")
-        return [Var(theta[o : o + int(np.prod(s))].reshape(s)) for o, s, _ in layout]
+    def _param_vars(self):
+        layout, _ = _param_layout(self.spec)
+        return [Var(self.params[o : o + int(np.prod(s))].reshape(s)) for o, s, _ in layout]
 
     def _forward(self, x_var, pvars):
         h = x_var
@@ -274,17 +280,9 @@ class ModelState(AttackTarget):
                 h = ad.normalize(h, layer.mean, layer.std)
         return h
 
-    def _cross_entropy(self, inp, Y, theta, reduction):
-        pvars = self._param_vars(theta)
+    def _cross_entropy(self, inp, Y, reduction):
+        pvars = self._param_vars()
         return ad.softmax_cross_entropy(self._forward(inp, pvars), Y, reduction=reduction), pvars
-
-    def _collect_param_grad(self, pvars):
-        layout, total = _param_layout(self.spec)
-        grad = np.zeros(total, dtype=self.params.dtype)
-        for (offset, shape, _), pv in zip(layout, pvars):
-            if pv.grad is not None:
-                grad[offset : offset + int(np.prod(shape))] = pv.grad.reshape(-1)
-        return grad
 
 
 def build_model(spec, input_shape, seed=0, dtype=np.float32):
@@ -332,23 +330,20 @@ def train_erm(model, dataset, epochs, lr, batch, seed=0):
     X, Y = dataset.images, dataset.labels
     if Y.min() < 0 or Y.max() >= model.num_classes:
         raise ValueError("dataset labels outside the model's class range")
-    theta = model.params.copy()
+    trained = model
     history = []
     for epoch in range(epochs):
-        order = np.random.default_rng(seed ^ epoch).permutation(X.shape[0])
         losses = []
-        for start in range(0, len(order), batch):
-            idx = order[start : start + batch]
+        for b in minibatches(dataset, batch, epoch_seed=seed ^ epoch):
             try:
-                loss, grad = model.loss_grad(X[idx], Y[idx], "parameters", theta=theta)
+                loss, grad = trained.loss_grad(b.X, b.Y, "parameters")
             except ValueError as exc:
                 raise TrainingDiverged(f"training diverged at epoch {epoch + 1}: {exc}") from exc
-            theta = theta - lr * grad
+            trained = trained.with_params(trained.params - lr * grad)
             losses.append(loss)
-        trained = model.with_params(theta)
         acc = float(np.mean(trained.predict(X) == Y))
         history.append({"epoch": epoch + 1, "loss": float(np.mean(losses)), "accuracy": acc})
-    out = model.with_params(theta)
+    out = model.with_params(trained.params)
     out.history = history
     return out
 
@@ -406,17 +401,13 @@ class Ensemble(AttackTarget):
     def _check_input(self, X):
         return self.models[0]._check_input(X)
 
-    def _cross_entropy(self, inp, Y, theta, reduction):
-        thetas = [None] * len(self.models) if theta is None else self._split(theta)
-        all_pvars, terms = [], []
-        for m, th in zip(self.models, thetas):
-            term, pvars = m._cross_entropy(inp, Y, th, reduction)
+    def _cross_entropy(self, inp, Y, reduction):
+        terms, pvars = [], []
+        for m in self.models:
+            term, member_pvars = m._cross_entropy(inp, Y, reduction)
             terms.append(term)
-            all_pvars.append(pvars)
-        return ad.add_scalars(terms, [1.0 / len(terms)] * len(terms)), all_pvars
-
-    def _collect_param_grad(self, all_pvars):
-        return np.concatenate([m._collect_param_grad(pv) for m, pv in zip(self.models, all_pvars)])
+            pvars += member_pvars
+        return ad.add_scalars(terms, [1.0 / len(terms)] * len(terms)), pvars
 
 
 def as_attack_target(model_or_models):

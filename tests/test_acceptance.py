@@ -134,7 +134,7 @@ def test_criterion_1_gradient_correctness():
         delta = rng.uniform(-0.1, 0.1, (1, 10, 10))
 
         _, g_theta = cnn.loss_grad(X, Y, "parameters")
-        fd_theta = ad.finite_difference_gradient(lambda th: cnn.loss(X, Y, theta=th), theta.copy(), FD_H)
+        fd_theta = ad.finite_difference_gradient(lambda th: cnn.with_params(th).loss(X, Y), theta.copy(), FD_H)
         worst = max(worst, rel_err(g_theta, fd_theta))
 
         _, g_x = cnn.loss_grad(X, Y, "input")

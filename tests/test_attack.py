@@ -446,6 +446,14 @@ def test_craft_ensemble(blob_setup):
     assert len(log.epochs) == 2
 
 
+def test_craft_parameterless_model_takes_no_model_step():
+    ds = D.synth_blobs(3, 24, 3, spread=0.08, seed=11)
+    m = M.build_model([M.relu()], (3,), dtype=np.float64)
+    delta, log = A.craft(tiny_config(epochs=2, batch_size=8), m, ds)
+    assert np.abs(delta).max() <= 0.08
+    assert [e["max_model_disp"] for e in log.epochs] == [0.0, 0.0]
+
+
 def test_artifact_roundtrip(tmp_path, blob_setup):
     model, ds = blob_setup
     cfg = tiny_config()

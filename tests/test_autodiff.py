@@ -279,7 +279,7 @@ def test_linear_logistic_gradient_signs():
     theta = np.array([0.3, -0.2, 0.0, 0.0])  # W = [[0.3, -0.2]], b = 0
     X = np.array([[1.7]])
     Y = np.array([0])
-    _, grad = m.loss_grad(X, Y, "parameters", theta=theta)
+    _, grad = m.with_params(theta).loss_grad(X, Y, "parameters")
     gw1, gw2 = grad[0], grad[1]
     x = X[0, 0]
     p1 = 1.0 / (1.0 + math.exp((0.3 - (-0.2)) * x))
@@ -291,7 +291,7 @@ def test_linear_logistic_gradient_signs():
 def test_zero_input_zero_weight_gives_zero_first_layer_grad():
     m = M.build_model([M.dense(3, 2)], (3,), seed=0, dtype=np.float64)
     theta = np.zeros_like(m.params)
-    _, grad = m.loss_grad(np.zeros((4, 3)), np.array([0, 1, 0, 1]), "parameters", theta=theta)
+    _, grad = m.with_params(theta).loss_grad(np.zeros((4, 3)), np.array([0, 1, 0, 1]), "parameters")
     assert np.all(grad[:6] == 0.0)  # weight block; bias grads may be nonzero
 
 

@@ -186,6 +186,22 @@ def test_verify_ok_and_mismatch(workdir, capsys):
     assert "MISMATCH" in capsys.readouterr().out
 
 
+def test_eval_corrupt_delta_payload_exits_5(workdir, capsys):
+    assert cli.main(["--config", "run.json", "train"]) == 0
+    assert cli.main(["--config", "run.json", "craft"]) == 0
+    (delta,) = delta_paths(workdir)
+    blob = bytearray(delta.read_bytes())
+    blob[-1] ^= 0xFF  # the header still parses; only the payload disagrees with the sidecar
+    delta.write_bytes(bytes(blob))
+    capsys.readouterr()
+    rc = cli.main(["--config", "run.json", "--set", f"eval.deltas=[\"{delta}\"]", "eval"])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "content_hash" in err
+    reports = workdir / "out" / "reports"
+    assert not reports.exists() or not any(reports.iterdir())
+
+
 def test_verify_missing_exits_5(workdir):
     assert cli.main(["verify", "nothing.uapt"]) == 5
 

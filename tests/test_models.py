@@ -177,6 +177,30 @@ def test_train_divergence_reports_epoch():
             M.train_erm(m, ds, epochs=50, lr=1e12, batch=8)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_train_erm_matches_hand_written_loop(dtype):
+    # pins the batch order and update rule: a fresh permutation per epoch from
+    # seed ^ epoch, slices of `batch` (the last one partial), p <- p - lr * grad
+    ds = D.synth_blobs(3, 50, 5, spread=0.1, seed=4)
+    m = M.build_model([M.dense(5, 6), M.relu(), M.dense(6, 3)], (5,), seed=3, dtype=dtype)
+    epochs, lr, batch, seed = 3, 0.4, 16, 9
+    p, history = m.params, []
+    for epoch in range(epochs):
+        order = np.random.default_rng(seed ^ epoch).permutation(len(ds))
+        losses = []
+        for start in range(0, len(order), batch):
+            idx = order[start : start + batch]
+            loss, grad = m.with_params(p).loss_grad(ds.images[idx], ds.labels[idx], "parameters")
+            p = p - lr * grad
+            losses.append(loss)
+        acc = float(np.mean(m.with_params(p).predict(ds.images) == ds.labels))
+        history.append({"epoch": epoch + 1, "loss": float(np.mean(losses)), "accuracy": acc})
+    trained = M.train_erm(m, ds, epochs=epochs, lr=lr, batch=batch, seed=seed)
+    assert trained.params.dtype == dtype
+    assert trained.params.tobytes() == p.tobytes()
+    assert trained.history == history
+
+
 def test_train_rejects_bad_lr_and_labels():
     ds = D.synth_blobs(2, 20, 4, spread=0.05, seed=0)
     m = M.build_model([M.dense(4, 2)], (4,), seed=0)
@@ -185,6 +209,17 @@ def test_train_rejects_bad_lr_and_labels():
     unlabeled = D.Dataset(images=ds.images)
     with pytest.raises(ValueError):
         M.train_erm(m, unlabeled, epochs=1, lr=0.1, batch=8)
+
+
+# -- a model with no parameters ---------------------------------------------------
+
+
+def test_parameterless_model_has_empty_parameter_gradient():
+    m = M.build_model([M.relu()], (3,), dtype=np.float64)
+    X = np.random.default_rng(0).uniform(-1, 1, (4, 3))
+    _, grad = m.loss_grad(X, np.array([0, 1, 2, 0]), "parameters")
+    assert grad.dtype == np.float64
+    assert grad.shape == (0,)
 
 
 # -- param_distance -----------------------------------------------------------
@@ -247,6 +282,20 @@ def test_ensemble_gradient_is_mean_of_member_gradients():
     g1 = m1.loss_grad(X, Y, "perturbation", delta=delta)[1]
     g2 = m2.loss_grad(X, Y, "perturbation", delta=delta)[1]
     assert np.max(np.abs(grad - 0.5 * (g1 + g2))) <= 1e-12
+
+
+def test_ensemble_parameter_gradient_blocks_keep_member_precision():
+    # the float32 member's block is rounded to float32 even though the mixed
+    # graph computes it in float64; the joined vector has flat_params' dtype
+    m1 = M.build_model([M.dense(4, 3)], (4,), seed=1, dtype=np.float32)
+    m2 = M.build_model([M.dense(4, 3)], (4,), seed=2, dtype=np.float64)
+    X = np.random.default_rng(5).uniform(0, 1, (5, 4))
+    ens = M.Ensemble((m1, m2))
+    _, grad = ens.loss_grad(X, np.array([0, 1, 2, 0, 1]), "parameters")
+    assert grad.dtype == ens.flat_params().dtype == np.float64
+    block = grad[: m1.params.size]
+    assert np.any(block != 0.0)
+    assert np.array_equal(block.astype(np.float32).astype(np.float64), block)
 
 
 def test_ensemble_rejects_empty_and_mismatched():
