@@ -58,9 +58,6 @@ class AttackConfig:
     curriculum: bool = True
     clamp_data_box: bool = False
     rescale_r: bool = True
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     variant: str = "dm-uap"
 
@@ -114,15 +111,11 @@ class UAPState:
     epsilon: float
 
 
-def init_uap(sample_shape, epsilon, seed=0, beta1=0.9, beta2=0.999, adam_eps=1e-8):
+def init_uap(sample_shape, epsilon, seed=0):
     """delta drawn uniformly from (-epsilon, epsilon), fresh Adam moments."""
     rng = np.random.default_rng(seed)
     delta = rng.uniform(-epsilon, epsilon, size=sample_shape)
-    return UAPState(
-        delta=delta,
-        adam=AdamState.zeros(sample_shape, dtype=np.float64, beta1=beta1, beta2=beta2, eps_hat=adam_eps),
-        epsilon=float(epsilon),
-    )
+    return UAPState(delta=delta, adam=AdamState.zeros(sample_shape), epsilon=float(epsilon))
 
 
 def step_schedule(order, k_model, k_data):
@@ -270,14 +263,7 @@ def craft(config, model_or_models, dataset):
     resolved = replace(config, r=config.effective_r(target.input_shape), rescale_r=False)
     labels = pseudo_labels(target, dataset)
     theta0 = target.flat_params().astype(np.float64)
-    uap = init_uap(
-        target.input_shape,
-        resolved.epsilon,
-        seed=_subseed(resolved.seed, "init-delta"),
-        beta1=resolved.adam_beta1,
-        beta2=resolved.adam_beta2,
-        adam_eps=resolved.adam_eps,
-    )
+    uap = init_uap(target.input_shape, resolved.epsilon, seed=_subseed(resolved.seed, "init-delta"))
     shuffle_seed = _subseed(resolved.seed, "shuffle")
     steps = step_schedule(resolved.order, resolved.k_model, resolved.k_data)
     log = RunLog()

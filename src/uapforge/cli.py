@@ -21,7 +21,8 @@ from . import data as D
 from . import evaluate as E
 from . import models as M
 from .errors import ArtifactMissing, ConfigError, CraftingFailed, TrainingDiverged
-from .tensor import TensorFormatError, array_fingerprint, content_hash, file_content_hash, load_tensor, read_sidecar
+from .tensor import (TensorFormatError, array_fingerprint, content_hash, file_content_hash, load_tensor, read_sidecar,
+                     write_atomic)
 
 EXIT_CODES = {ConfigError: 2, TrainingDiverged: 3, CraftingFailed: 4, ArtifactMissing: 5, TensorFormatError: 5}
 
@@ -50,12 +51,8 @@ def load_datasets(cfg):
     n_holdout = int(round(n * section["holdout_fraction"]))
     order = np.random.default_rng(section["seed"] ^ 0x5EED).permutation(n)
     hold_idx, train_idx = np.sort(order[:n_holdout]), np.sort(order[n_holdout:])
-    train = D.Dataset(images=full.images[train_idx],
-                      labels=None if full.labels is None else full.labels[train_idx],
-                      name=f"{full.name}-train")
-    holdout = D.Dataset(images=full.images[hold_idx],
-                        labels=None if full.labels is None else full.labels[hold_idx],
-                        name=f"{full.name}-holdout") if n_holdout else train
+    train = full.take(train_idx, f"{full.name}-train")
+    holdout = full.take(hold_idx, f"{full.name}-holdout") if n_holdout else train
     craft_ds = train
     if section["subset_size"]:
         craft_ds = D.subset(train, section["subset_size"], seed=section["seed"])
@@ -160,7 +157,7 @@ def cmd_ablate(cfg):
     craft_ds, _, holdout = load_datasets(cfg)
     base = C.attack_config(cfg)
     target = _craft_target(cfg, dirs)
-    rows = []
+    lines = [f"{axis},fooling_ratio,n,delta_hash"]
     for value in values:
         try:
             atk = replace(base, **{axis: value})
@@ -168,13 +165,10 @@ def cmd_ablate(cfg):
             raise ConfigError(f"invalid sweep value {value!r} for axis {axis}: {exc}") from exc
         delta, _ = A.craft(atk, target, craft_ds)
         rep = E.fooling_ratio(target, holdout, delta)
-        rows.append((value, rep.fooling_ratio, rep.n_evaluated, rep.delta_hash))
+        lines.append(f"{value},{rep.fooling_ratio:.4f},{rep.n_evaluated},{rep.delta_hash}")
         print(f"{axis}={value}: fooling ratio {rep.fooling_ratio:.4f}")
     out = os.path.join(dirs["reports"], f"ablate-{axis}.csv")
-    with open(out, "w") as f:
-        f.write(f"{axis},fooling_ratio,n,delta_hash\n")
-        for value, ratio, n, dh in rows:
-            f.write(f"{value},{ratio:.4f},{n},{dh}\n")
+    write_atomic(out, ("\n".join(lines) + "\n").encode())
     print(f"sweep report: {out}")
     return 0
 

@@ -40,6 +40,10 @@ class Dataset:
     def sample_shape(self):
         return self.images.shape[1:]
 
+    def take(self, idx, name):
+        """The samples at `idx` (and their labels, if any) as a new dataset called `name`."""
+        return Dataset(images=self.images[idx], labels=None if self.labels is None else self.labels[idx], name=name)
+
 
 @dataclass
 class Batch:
@@ -137,18 +141,16 @@ def subset(dataset, size, seed=0):
     if size > len(dataset):
         raise ValueError(f"subset size {size} exceeds dataset size {len(dataset)}")
     idx = np.sort(np.random.default_rng(seed).choice(len(dataset), size=size, replace=False))
-    return Dataset(
-        images=dataset.images[idx],
-        labels=None if dataset.labels is None else dataset.labels[idx],
-        name=f"{dataset.name}-sub{size}",
-    )
+    return dataset.take(idx, f"{dataset.name}-sub{size}")
 
 
 def minibatches(dataset, B, epoch_seed=0, labels=None):
     """Split a seeded permutation of the dataset into ceil(n/B) batches.
 
-    The final batch may be partial and is kept. `labels` overrides the
-    dataset's own labels (used for pseudo-labels during crafting).
+    The arguments are checked and the permutation drawn at the call; the
+    returned iterator then copies out one batch at a time. The final batch
+    may be partial and is kept. `labels` overrides the dataset's own labels
+    (used for pseudo-labels during crafting).
     """
     if B < 1:
         raise ValueError("batch size must be >= 1")
@@ -157,11 +159,13 @@ def minibatches(dataset, B, epoch_seed=0, labels=None):
         raise ValueError("empty dataset")
     Y = dataset.labels if labels is None else labels
     order = np.random.default_rng(epoch_seed).permutation(n)
-    out = []
-    for start in range(0, n, B):
-        idx = order[start : start + B]
-        out.append(Batch(X=dataset.images[idx], Y=None if Y is None else Y[idx], indices=idx))
-    return out
+
+    def batches():
+        for start in range(0, n, B):
+            idx = order[start : start + B]
+            yield Batch(X=dataset.images[idx], Y=None if Y is None else Y[idx], indices=idx)
+
+    return batches()
 
 
 _pseudo_label_cache: dict = {}

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import array_fingerprint
+from .tensor import array_fingerprint, write_atomic
 
 
 @dataclass
@@ -139,12 +139,9 @@ def _csv_rows(report):
 def report_write(report, path, format="json"):
     """Deterministic serialization: sorted keys, four decimal places."""
     if format == "json":
-        payload = _round_floats(asdict(report))
-        with open(path, "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
+        text = json.dumps(_round_floats(asdict(report)), indent=2, sort_keys=True)
     elif format == "csv":
-        with open(path, "w") as f:
-            f.write("\n".join(_csv_rows(report)) + "\n")
+        text = "\n".join(_csv_rows(report))
     else:
         raise ValueError(f"unknown report format {format!r}")
+    write_atomic(path, (text + "\n").encode())

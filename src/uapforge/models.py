@@ -1,8 +1,9 @@
 """Small classifier models: definition, seeded init, ERM training, checkpoints.
 
 A model is a list of LayerSpec entries plus one flat parameter vector. The
-forward graph is rebuilt per call on the autodiff tape, so a shared
-perturbation is one more leaf. Parameters enter only through `with_params`:
+forward graph is rebuilt per call on the autodiff tape; a shared
+perturbation shifts the batch before it becomes the input leaf. Parameters
+enter only through `with_params`:
 the attack's theta-star and each ERM step are the same model at another
 parameter vector.
 """
@@ -144,6 +145,10 @@ def param_count(spec):
     return _param_layout(spec)[1]
 
 
+# Samples per forward pass in `predict`; bounds the activations held at once.
+PREDICT_CHUNK = 1024
+
+
 class AttackTarget:
     """Loss, loss gradient and chunked prediction shared by models and ensembles.
 
@@ -152,62 +157,66 @@ class AttackTarget:
     nodes it used, in `flat_params` order).
     """
 
-    def predict(self, X, chunk=1024):
+    def predict(self, X):
         """Per-sample argmax of logits; ties go to the lowest class index."""
         X = self._check_input(X)
         out = np.empty(X.shape[0], dtype=np.int64)
-        for start in range(0, X.shape[0], chunk):
-            out[start : start + chunk] = np.argmax(self.logits(X[start : start + chunk]), axis=1)
+        for start in range(0, X.shape[0], PREDICT_CHUNK):
+            stop = start + PREDICT_CHUNK
+            out[start:stop] = np.argmax(self.logits(X[start:stop]), axis=1)
         return out
 
     def loss(self, X, Y, delta=None):
-        loss_var, _ = self._loss_graph(X, Y, delta=delta)
+        loss_var, _, _ = self._loss_graph(X, Y, delta=delta)
         return float(loss_var.value)
 
     def loss_grad(self, X, Y, wrt, delta=None, reduction="mean"):
         """Loss and its gradient w.r.t. one quantity.
 
         wrt "parameters" -> flat vector matching flat_params(); "input" ->
-        same shape as X; "perturbation" -> same shape as delta (summed over
-        the batch).
+        same shape as X, taken at X + delta; "perturbation" -> one sample's
+        shape, the input gradient summed over the batch.
         """
         if wrt not in ("parameters", "input", "perturbation"):
             raise ValueError(f"unsupported wrt target {wrt!r}")
         if wrt == "perturbation" and delta is None:
             raise ValueError("no perturbation in this graph; pass delta")
-        loss_var, nodes = self._loss_graph(X, Y, delta=delta, reduction=reduction)
+        loss_var, x_var, pvars = self._loss_graph(X, Y, delta=delta, reduction=reduction)
         loss = float(loss_var.value)
         if not np.isfinite(loss):
             raise ValueError("non-finite loss")
         ad.backward(loss_var)
-        if wrt != "parameters":
-            grad = _grad_of(nodes[wrt])
-        elif nodes["parameters"]:
+        if wrt == "input":
+            grad = x_var.grad
+        elif wrt == "perturbation":
+            grad = x_var.grad.sum(axis=0)
+        elif pvars:
             # each block at its own parameters' dtype, as flat_params concatenates them
-            grad = np.concatenate([_grad_of(p).astype(p.value.dtype, copy=False).reshape(-1)
-                                   for p in nodes["parameters"]])
+            grad = np.concatenate([p.grad.astype(p.value.dtype, copy=False).reshape(-1) for p in pvars])
         else:
             grad = np.zeros(0, dtype=self.flat_params().dtype)
         require_finite(grad, "gradient")
         return loss, grad
 
     def _loss_graph(self, X, Y, delta=None, reduction="mean"):
+        """(loss Var, input leaf, parameter leaves) of one batch.
+
+        A perturbation of one sample's shape is cast to the batch's dtype and
+        added to every sample before the input leaf is made, so the leaf
+        holds X + delta.
+        """
         X = self._check_input(X)
         Y = np.asarray(Y)
         if Y.shape != (X.shape[0],):
             raise ValueError(f"labels shape {Y.shape} != batch ({X.shape[0]},)")
-        x_var = ad.leaf(X)
-        delta_var = None
-        inp = x_var
         if delta is not None:
-            delta_var = ad.leaf(np.asarray(delta, dtype=X.dtype))
-            inp = ad.add(x_var, delta_var)
-        loss_var, pvars = self._cross_entropy(inp, Y, reduction)
-        return loss_var, {"input": x_var, "perturbation": delta_var, "parameters": pvars}
-
-
-def _grad_of(node):
-    return np.zeros_like(node.value) if node.grad is None else node.grad
+            delta = np.asarray(delta, dtype=X.dtype)
+            if delta.shape != X.shape[1:]:
+                raise ValueError(f"perturbation shape {delta.shape} != sample shape {X.shape[1:]}")
+            X = X + delta
+        x_var = ad.leaf(X)
+        loss_var, pvars = self._cross_entropy(x_var, Y, reduction)
+        return loss_var, x_var, pvars
 
 
 @dataclass
@@ -369,10 +378,6 @@ class Ensemble(AttackTarget):
     @property
     def input_shape(self):
         return self.models[0].input_shape
-
-    @property
-    def num_classes(self):
-        return self.models[0].num_classes
 
     def fingerprint(self):
         return array_fingerprint("|".join(m.fingerprint() for m in self.models).encode())

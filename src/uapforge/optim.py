@@ -84,33 +84,30 @@ def l2_pgd_step(x, grad, alpha, spec, clamp_box=False):
     return x
 
 
+# Adam's moment decay rates and denominator offset; the method varies only gamma.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS_HAT = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam moments for one tensor; step_count increments once per update."""
+    """Adam moments for one float64 tensor; step_count increments once per update."""
 
     m: np.ndarray
     v: np.ndarray
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_hat: float = 1e-8
 
     @classmethod
-    def zeros(cls, shape, dtype=np.float32, beta1=0.9, beta2=0.999, eps_hat=1e-8):
-        return cls(
-            m=np.zeros(shape, dtype=dtype),
-            v=np.zeros(shape, dtype=dtype),
-            beta1=beta1,
-            beta2=beta2,
-            eps_hat=eps_hat,
-        )
+    def zeros(cls, shape):
+        return cls(m=np.zeros(shape), v=np.zeros(shape))
 
 
 def adam_step(state, grad, gamma):
     """Standard bias-corrected Adam update for a minimization gradient.
 
     Returns (update, new_state) where update = -gamma * m_hat / (sqrt(v_hat)
-    + eps_hat). The attack maximizes by feeding the negated loss gradient.
+    + ADAM_EPS_HAT). The attack maximizes by feeding the negated loss gradient.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -118,12 +115,9 @@ def adam_step(state, grad, gamma):
         raise ValueError(f"shape mismatch: grad {grad.shape}, state {state.m.shape}")
     require_finite(grad, "gradient")
     t = state.step_count + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * np.square(grad)
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    update = -gamma * m_hat / (np.sqrt(v_hat) + state.eps_hat)
-    new_state = AdamState(
-        m=m, v=v, step_count=t, beta1=state.beta1, beta2=state.beta2, eps_hat=state.eps_hat
-    )
-    return update, new_state
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * np.square(grad)
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    update = -gamma * m_hat / (np.sqrt(v_hat) + ADAM_EPS_HAT)
+    return update, AdamState(m=m, v=v, step_count=t)

@@ -2,7 +2,8 @@
 
 Tensors are plain numpy arrays (row-major, float32 or float64). This module
 owns the files of perturbation artifacts and model checkpoints (a UAPT container
-at <path>, a JSON sidecar at <path>.json and an optional <path>.log.csv).
+at <path>, a JSON sidecar at <path>.json and an optional <path>.log.csv), and
+its `write_atomic` also writes the eval and ablate reports.
 """
 
 import hashlib
@@ -64,7 +65,7 @@ def array_fingerprint(*parts):
     return content_hash(*parts)[:16]
 
 
-def _write_atomic(path, data):
+def write_atomic(path, data):
     """Write through a temp file beside `path` and a rename, so `path` never holds a partial file."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -87,7 +88,7 @@ def _read(path):
 def save_tensor(path, arr):
     """Write a float array to the container file at `path`."""
     header, data = _container_parts(arr)
-    _write_atomic(path, header + data.tobytes())
+    write_atomic(path, header + data.tobytes())
 
 
 def _unpack(blob, offset, fmt, path):
@@ -143,8 +144,8 @@ def save_artifact(path, arr, meta, log_csv=None):
     """Write the payload, the `log_csv` text if given and, last, the sidecar, so a partial artifact has none."""
     save_tensor(path, arr)
     if log_csv is not None:
-        _write_atomic(f"{path}.log.csv", log_csv.encode())
-    _write_atomic(f"{path}.json", json.dumps(meta, indent=2, sort_keys=True).encode())
+        write_atomic(f"{path}.log.csv", log_csv.encode())
+    write_atomic(f"{path}.json", json.dumps(meta, indent=2, sort_keys=True).encode())
 
 
 def read_sidecar(path):

@@ -250,6 +250,20 @@ def test_inner_data_batch_equals_independent_runs():
         assert np.allclose(single[0], batch_out[i], rtol=0, atol=1e-14)
 
 
+def test_inner_data_clamp_box_keeps_edge_samples_in_box_and_ball():
+    m = fixed_linear_2d()
+    X = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.5]])
+    Y = np.array([0, 1, 0, 1, 0])
+    steps = A.step_schedule("model_first", 1, 10)
+    r_t = 0.3
+    free = A.inner_minimize(m, X, Y, steps, 0.0, r_t, 0.0, 1.25 * r_t / 10)[1]
+    assert free.min() < 0.0 or free.max() > 1.0  # unclamped, the descent leaves the box
+    _, x_star = A.inner_minimize(m, X, Y, steps, 0.0, r_t, 0.0, 1.25 * r_t / 10, clamp_box=True)
+    assert x_star.min() >= 0.0 and x_star.max() <= 1.0
+    assert np.linalg.norm(x_star - X, axis=1).max() <= r_t + 1e-12
+    assert m.loss(x_star, Y) < m.loss(X, Y)
+
+
 def test_data_step_matches_scalar_pgd_rule():
     # the vectorized batch step must agree with the one-sample update rule
     m = fixed_linear_2d()
@@ -336,6 +350,16 @@ def test_craft_output_within_budget(blob_setup):
     assert len(log.epochs) == 3
     assert all(e["max_model_disp"] <= e["rho_t"] + 1e-6 for e in log.epochs)
     assert all(e["max_data_disp"] <= e["r_t"] + 1e-6 for e in log.epochs)
+
+
+def test_craft_clamp_data_box_within_budgets(blob_setup):
+    model, ds = blob_setup
+    config = tiny_config(clamp_data_box=True, r=0.6)
+    delta, log = A.craft(config, model, ds)
+    assert np.abs(delta).max() <= config.epsilon
+    assert len(log.epochs) == config.epochs
+    assert all(e["max_model_disp"] <= e["rho_t"] + 1e-6 for e in log.epochs)
+    assert all(0.0 < e["max_data_disp"] <= e["r_t"] + 1e-6 for e in log.epochs)
 
 
 def test_craft_deterministic(blob_setup):

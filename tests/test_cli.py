@@ -78,6 +78,24 @@ def test_env_override_reaches_cli(workdir, monkeypatch):
     assert meta["train_config"]["epochs"] == 1
 
 
+@pytest.mark.parametrize("how", ["file", "set", "env"])
+def test_removed_adam_key_exits_2(workdir, capsys, monkeypatch, how):
+    argv = ["--config", "run.json", "train"]
+    if how == "file":
+        cfg = json.loads((workdir / "run.json").read_text())
+        cfg["attack"]["adam_beta1"] = 0.8
+        (workdir / "run.json").write_text(json.dumps(cfg))
+    elif how == "set":
+        argv = ["--config", "run.json", "--set", "attack.adam_beta1=0.8", "train"]
+    else:
+        monkeypatch.setenv("UAPFORGE_ATTACK__ADAM_BETA1", "0.8")
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown config key: attack.adam_beta1")
+    assert err.count("\n") == 1
+    assert not (workdir / "out").exists()
+
+
 def test_attack_config_validation_maps_to_config_error():
     cfg = C.load_config(None, sets=["attack.rho=-1"])
     with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 """Dataset ingestion, synthetic blobs, mini-batching, pseudo-label cache."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,10 +144,10 @@ def test_minibatches_cover_everything_once():
 
 def test_minibatches_seeded():
     ds = D.synth_blobs(2, 30, 4, spread=0.1, seed=0)
-    a = D.minibatches(ds, 8, epoch_seed=3)
-    b = D.minibatches(ds, 8, epoch_seed=3)
+    a = list(D.minibatches(ds, 8, epoch_seed=3))
+    b = list(D.minibatches(ds, 8, epoch_seed=3))
     assert all(np.array_equal(x.indices, y.indices) for x, y in zip(a, b))
-    c = D.minibatches(ds, 8, epoch_seed=4)
+    c = list(D.minibatches(ds, 8, epoch_seed=4))
     assert any(not np.array_equal(x.indices, y.indices) for x, y in zip(a, c))
 
 
@@ -154,6 +155,19 @@ def test_minibatches_rejects_bad_args():
     ds = D.synth_blobs(2, 10, 4, spread=0.1, seed=0)
     with pytest.raises(ValueError):
         D.minibatches(ds, 0)
+
+
+def test_minibatches_copy_one_batch_at_a_time():
+    images = np.random.default_rng(0).uniform(0, 1, (4000, 1, 16, 16)).astype(np.float32)
+    ds = D.Dataset(images=images, labels=np.arange(4000) % 4)
+    tracemalloc.start()
+    try:
+        first = next(iter(D.minibatches(ds, 125, epoch_seed=0)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first.X.shape == (125, 1, 16, 16)
+    assert peak < images.nbytes / 4
 
 
 def test_batch_labels_follow_override():
@@ -174,6 +188,16 @@ def test_subset_seeded_and_sized():
     assert s1.images.tobytes() == s2.images.tobytes()
     with pytest.raises(ValueError):
         D.subset(ds, 101)
+
+
+def test_take_slices_images_and_labels():
+    ds = D.synth_blobs(2, 10, 4, spread=0.1, seed=0)
+    idx = np.array([7, 2, 5])
+    part = ds.take(idx, "part")
+    assert part.name == "part"
+    assert np.array_equal(part.images, ds.images[idx])
+    assert np.array_equal(part.labels, ds.labels[idx])
+    assert D.Dataset(images=ds.images).take(idx, "bare").labels is None
 
 
 # -- pseudo-labels --------------------------------------------------------------------

@@ -153,6 +153,16 @@ def test_csv_formatting(tmp_path):
     assert lines[1] == "src,target,0.1235,100,fp,dh"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_failed_report_write_leaves_no_file(tmp_path, fail_writes, fmt):
+    rep = E.FoolingReport(model_id="target", dataset_fingerprint="fp", delta_hash="dh",
+                          n_evaluated=100, n_changed=12, fooling_ratio=0.12)
+    fail_writes(f"report.{fmt}")
+    with pytest.raises(OSError):
+        E.report_write(rep, tmp_path / f"report.{fmt}", fmt)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_writes_deterministic(tmp_path, setup):
     model, ds = setup
     rep = E.fooling_ratio(model, ds, np.random.default_rng(14).uniform(-0.2, 0.2, 5))

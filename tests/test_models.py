@@ -222,6 +222,59 @@ def test_parameterless_model_has_empty_parameter_gradient():
     assert grad.shape == (0,)
 
 
+# -- the shared perturbation --------------------------------------------------------
+
+
+def graph_nodes(root):
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.parents)
+    return list(seen.values())
+
+
+def test_perturbation_shifts_the_one_input_leaf():
+    m = M.build_model(CNN_SPEC, (1, 8, 8), seed=3, dtype=np.float64)
+    rng = np.random.default_rng(8)
+    X = rng.uniform(0, 1, (5, 1, 8, 8))
+    delta = rng.uniform(-0.1, 0.1, (1, 8, 8))
+    loss_var, x_var, pvars = m._loss_graph(X, rng.integers(0, 4, 5), delta=delta)
+    nodes = graph_nodes(loss_var)
+    assert {id(n) for n in nodes if not n.parents} == {id(x_var)} | {id(p) for p in pvars}
+    assert np.array_equal(x_var.value, X + delta)
+    # the adds are the two dense layers' bias adds, one bias leaf each
+    adds = [n for n in nodes if n.vjp is not None and n.vjp.__qualname__.startswith("add.")]
+    assert len(adds) == 2
+    assert all(n.parents[0] is not x_var and any(n.parents[1] is p for p in pvars) for n in adds)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_perturbation_gradient_is_summed_input_gradient(dtype):
+    m = M.build_model(CNN_SPEC, (1, 8, 8), seed=3, dtype=dtype)
+    rng = np.random.default_rng(9)
+    X = rng.uniform(0, 1, (6, 1, 8, 8))
+    Y = rng.integers(0, 4, 6)
+    delta = rng.uniform(-0.1, 0.1, (1, 8, 8))
+    loss_d, g_delta = m.loss_grad(X, Y, "perturbation", delta=delta)
+    loss_x, g_x = m.loss_grad(X, Y, "input", delta=delta)
+    assert loss_d == loss_x == m.loss(X, Y, delta=delta)
+    assert g_delta.shape == delta.shape and g_delta.dtype == dtype
+    assert g_delta.tobytes() == g_x.sum(axis=0).tobytes()
+
+
+def test_perturbation_must_have_one_samples_shape():
+    m = M.build_model([M.dense(4, 3)], (4,), seed=1, dtype=np.float64)
+    X = np.random.default_rng(2).uniform(0, 1, (5, 4))
+    Y = np.array([0, 1, 2, 0, 1])
+    for bad in (np.zeros((5, 4)), np.zeros((1, 4)), np.zeros(3)):
+        with pytest.raises(ValueError, match="perturbation shape"):
+            m.loss_grad(X, Y, "perturbation", delta=bad)
+        with pytest.raises(ValueError, match="perturbation shape"):
+            m.loss(X, Y, delta=bad)
+
+
 # -- param_distance -----------------------------------------------------------
 
 
@@ -311,15 +364,24 @@ def test_ensemble_rejects_empty_and_mismatched():
 
 
 def test_checkpoint_roundtrip(tmp_path):
-    m = M.build_model(CNN_SPEC, (1, 8, 8), seed=6)
-    path = tmp_path / "model.uapt"
-    M.save_checkpoint(m, path, extra={"seed": 6})
-    back, meta = M.load_checkpoint(path)
-    assert back.spec == m.spec
-    assert back.params.tobytes() == m.params.tobytes()
-    assert back.input_shape == m.input_shape
-    assert meta["seed"] == 6
-    assert meta["params_fingerprint"] == array_fingerprint(back.params)
+    # cnn_small starts with a normalize layer; the last model has no biases
+    for spec, input_shape in [
+        (CNN_SPEC, (1, 8, 8)),
+        (M.make_architecture("cnn_small", (1, 12, 12), 3, hidden=6), (1, 12, 12)),
+        ([M.dense(5, 4, bias=False), M.relu(), M.dense(4, 3, bias=False)], (5,)),
+    ]:
+        m = M.build_model(spec, input_shape, seed=6)
+        path = tmp_path / "model.uapt"
+        M.save_checkpoint(m, path, extra={"seed": 6})
+        back, meta = M.load_checkpoint(path)
+        assert back.spec == m.spec
+        assert back.params.tobytes() == m.params.tobytes()
+        assert back.input_shape == m.input_shape
+        assert back.fingerprint() == m.fingerprint()
+        assert meta["seed"] == 6
+        assert meta["params_fingerprint"] == array_fingerprint(back.params)
+        X = np.random.default_rng(6).uniform(0, 1, (20, *input_shape))
+        assert np.array_equal(back.predict(X), m.predict(X))
 
 
 # content_hash of the seeded initial params at 1x16x16, 3 classes, hidden 12, seed 7. They come from

@@ -137,7 +137,7 @@ def test_pgd_box_clamp():
 
 
 def test_adam_first_step_matches_reference():
-    state = optim.AdamState.zeros((), dtype=np.float64)
+    state = optim.AdamState.zeros(())
     g = np.asarray(0.5)
     update, state = optim.adam_step(state, g, 0.001)
     ref = reference_adam([g], 0.001)[0]
@@ -147,13 +147,13 @@ def test_adam_first_step_matches_reference():
 
 
 def test_adam_zero_grad_fresh_state_zero_update():
-    state = optim.AdamState.zeros((3,), dtype=np.float64)
+    state = optim.AdamState.zeros((3,))
     update, _ = optim.adam_step(state, np.zeros(3), 0.01)
     assert np.all(update == 0.0)
 
 
 def test_adam_constant_gradient_converges_to_gamma():
-    state = optim.AdamState.zeros((2,), dtype=np.float64)
+    state = optim.AdamState.zeros((2,))
     g = np.array([0.37, -1.2])
     gamma = 0.01
     for _ in range(50):
@@ -164,7 +164,7 @@ def test_adam_constant_gradient_converges_to_gamma():
 def test_adam_matches_reference_sequence():
     rng = np.random.default_rng(5)
     grads = [rng.normal(size=(2, 2)) for _ in range(10)]
-    state = optim.AdamState.zeros((2, 2), dtype=np.float64)
+    state = optim.AdamState.zeros((2, 2))
     got = []
     for g in grads:
         update, state = optim.adam_step(state, g, 0.003)
@@ -175,13 +175,13 @@ def test_adam_matches_reference_sequence():
 
 def test_adam_first_step_homogeneous_in_gamma():
     g = np.random.default_rng(6).normal(size=4)
-    u1, _ = optim.adam_step(optim.AdamState.zeros((4,), dtype=np.float64), g, 0.004)
-    u2, _ = optim.adam_step(optim.AdamState.zeros((4,), dtype=np.float64), g, 0.016)
+    u1, _ = optim.adam_step(optim.AdamState.zeros((4,)), g, 0.004)
+    u2, _ = optim.adam_step(optim.AdamState.zeros((4,)), g, 0.016)
     assert np.array_equal(u2, 4.0 * u1)  # power-of-two scale is exact
 
 
 def test_adam_state_validation():
-    state = optim.AdamState.zeros((2,), dtype=np.float64)
+    state = optim.AdamState.zeros((2,))
     with pytest.raises(ValueError):
         optim.adam_step(state, np.zeros(3), 0.01)
     with pytest.raises(ValueError):
