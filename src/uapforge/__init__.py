@@ -23,7 +23,6 @@ from .models import (
     build_model,
     load_checkpoint,
     make_architecture,
-    param_distance,
     save_checkpoint,
     train_erm,
 )

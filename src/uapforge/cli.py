@@ -4,8 +4,10 @@ Every subcommand reads one JSON config (see config.DEFAULTS for the schema)
 plus optional overrides, and writes artifacts under
 <output.directory>/{checkpoints,deltas,reports}.
 
-Exit codes are contract values: 0 ok, 2 invalid config, 3 training divergence,
-4 numerical failure while crafting, 5 missing or corrupt artifact or sidecar.
+Exit codes are contract values: 0 ok, 2 invalid config or dataset, 3 training
+divergence, 4 numerical failure while crafting, 5 missing or corrupt artifact or
+sidecar, including a payload that tensor.load_artifact finds does not match its
+sidecar; `verify` prints MISMATCH and exits 1 for that case alone.
 """
 
 import argparse
@@ -21,8 +23,7 @@ from . import data as D
 from . import evaluate as E
 from . import models as M
 from .errors import ArtifactMissing, ConfigError, CraftingFailed, TrainingDiverged
-from .tensor import (TensorFormatError, array_fingerprint, content_hash, file_content_hash, load_tensor, read_sidecar,
-                     write_atomic)
+from .tensor import ContentMismatch, TensorFormatError, content_hash, load_artifact, write_atomic
 
 EXIT_CODES = {ConfigError: 2, TrainingDiverged: 3, CraftingFailed: 4, ArtifactMissing: 5, TensorFormatError: 5}
 
@@ -40,27 +41,30 @@ def _out_dirs(cfg):
 def load_datasets(cfg):
     """Materialize (crafting dataset, holdout dataset) from the config."""
     section = C.validate_dataset_section(cfg)
-    if section["source"] == "idx":
-        full = D.load_idx(section["images"], section["labels"])
-    else:
-        full = D.synth_blobs(
-            section["num_classes"], section["n"], tuple(section["shape"]),
-            section["spread"], seed=section["seed"], modes=section.get("modes", 1),
-        )
-    n = len(full)
-    n_holdout = int(round(n * section["holdout_fraction"]))
-    order = np.random.default_rng(section["seed"] ^ 0x5EED).permutation(n)
-    hold_idx, train_idx = np.sort(order[:n_holdout]), np.sort(order[n_holdout:])
-    train = full.take(train_idx, f"{full.name}-train")
-    holdout = full.take(hold_idx, f"{full.name}-holdout") if n_holdout else train
-    craft_ds = train
-    if section["subset_size"]:
-        craft_ds = D.subset(train, section["subset_size"], seed=section["seed"])
+    try:
+        if section["source"] == "idx":
+            full = D.load_idx(section["images"], section["labels"])
+        else:
+            full = D.synth_blobs(
+                section["num_classes"], section["n"], tuple(section["shape"]),
+                section["spread"], seed=section["seed"], modes=section.get("modes", 1),
+            )
+        n = len(full)
+        n_holdout = int(round(n * section["holdout_fraction"]))
+        order = np.random.default_rng(section["seed"] ^ 0x5EED).permutation(n)
+        hold_idx, train_idx = np.sort(order[:n_holdout]), np.sort(order[n_holdout:])
+        train = full.take(train_idx, f"{full.name}-train")
+        holdout = full.take(hold_idx, f"{full.name}-holdout") if n_holdout else train
+        craft_ds = train
+        if section["subset_size"]:
+            craft_ds = D.subset(train, section["subset_size"], seed=section["seed"])
+    except ValueError as exc:
+        raise ConfigError(f"invalid dataset section: {exc}") from exc
     return craft_ds, train, holdout
 
 
 def _checkpoint_path(cfg, dirs):
-    explicit = cfg["model"]["checkpoint"]
+    explicit = C.validate_model_section(cfg)["checkpoint"]
     if explicit:
         return explicit
     arch = cfg["model"]["arch"]
@@ -70,19 +74,19 @@ def _checkpoint_path(cfg, dirs):
 
 def cmd_train(cfg):
     dirs = _out_dirs(cfg)
+    path = _checkpoint_path(cfg, dirs)
     _, train_ds, holdout = load_datasets(cfg)
     section = cfg["model"]
     num_classes = int(train_ds.labels.max()) + 1 if train_ds.labels is not None else 0
     if num_classes < 2:
         raise ConfigError("training dataset must carry labels with at least two classes")
+    tr = section["train"]
     try:
         spec = M.make_architecture(section["arch"], train_ds.sample_shape, num_classes, section["hidden"])
+        model = M.build_model(spec, train_ds.sample_shape, seed=tr["seed"])
+        model = M.train_erm(model, train_ds, epochs=tr["epochs"], lr=tr["lr"], batch=tr["batch"], seed=tr["seed"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    model = M.build_model(spec, train_ds.sample_shape, seed=section["train"]["seed"])
-    tr = section["train"]
-    model = M.train_erm(model, train_ds, epochs=tr["epochs"], lr=tr["lr"], batch=tr["batch"], seed=tr["seed"])
-    path = _checkpoint_path(cfg, dirs)
     M.save_checkpoint(model, path, extra={
         "train_config": tr,
         "dataset_fingerprint": train_ds.fingerprint,
@@ -97,7 +101,7 @@ def cmd_train(cfg):
 
 
 def _craft_target(cfg, dirs):
-    paths = cfg["model"]["ensemble"] or [_checkpoint_path(cfg, dirs)]
+    paths = C.validate_model_section(cfg)["ensemble"] or [_checkpoint_path(cfg, dirs)]
     models = [M.load_checkpoint(p)[0] for p in paths]
     return M.as_attack_target(models)
 
@@ -176,15 +180,12 @@ def cmd_ablate(cfg):
 def cmd_verify(cfg, paths):
     failures = 0
     for path in paths:
-        meta = read_sidecar(path)
-        if "content_hash" in meta:
-            ok = file_content_hash(path) == meta["content_hash"]
-        elif "params_fingerprint" in meta:
-            ok = array_fingerprint(load_tensor(path)) == meta["params_fingerprint"]
-        else:
-            ok = False
-        print(f"{'OK' if ok else 'MISMATCH'} {path}")
-        failures += not ok
+        try:
+            load_artifact(path)
+            print(f"OK {path}")
+        except ContentMismatch:
+            print(f"MISMATCH {path}")
+            failures += 1
     return 1 if failures else 0
 
 

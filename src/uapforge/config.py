@@ -3,7 +3,10 @@
 Precedence is flag > environment > config file > default. Environment
 variables use the UAPFORGE_ prefix with double underscores between nesting
 levels (UAPFORGE_ATTACK__EPSILON=0.05); --set flags use dotted paths
-(attack.epsilon=0.05). Values are parsed as JSON where possible.
+(attack.epsilon=0.05). Values are parsed as JSON where possible. Every
+source merges the same way: an object merges into an object key by key, and a
+value keeps its default's JSON kind (a number also takes an integer). Keys
+whose default is null are checked where their section is validated.
 """
 
 import copy
@@ -51,27 +54,33 @@ def _parse_value(text):
         return text
 
 
-def _deep_merge(base, update, path=""):
+# the Python types a value may take, by its default's type: a number also takes
+# an integer, and a bool is not an integer
+_KINDS = {float: (float, int)}
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string", list: "an array",
+               dict: "an object"}
+
+
+def _merge(cfg, update, defaults, path=""):
+    """Merge the object `update` into `cfg`: objects merge key by key, and a value keeps its default's kind."""
     for key, value in update.items():
         here = f"{path}.{key}" if path else key
-        if key not in base:
+        if key not in defaults:
             raise ConfigError(f"unknown config key: {here}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            _deep_merge(base[key], value, here)
+        default = defaults[key]
+        if default is not None and type(value) not in _KINDS.get(type(default), (type(default),)):
+            raise ConfigError(f"config key {here} takes {_KIND_NAMES[type(default)]}, got {json.dumps(value)}")
+        if isinstance(default, dict):
+            _merge(cfg[key], value, default, here)
         else:
-            base[key] = value
+            cfg[key] = value
 
 
-def _set_path(cfg, dotted, value):
-    parts = dotted.split(".")
-    node = cfg
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"unknown config key: {dotted}")
-        node = node[part]
-    if not isinstance(node, dict) or parts[-1] not in node:
-        raise ConfigError(f"unknown config key: {dotted}")
-    node[parts[-1]] = value
+def _nested(dotted, value):
+    """{"a": {"b": value}} for the dotted path "a.b"."""
+    for part in reversed(dotted.split(".")):
+        value = {part: value}
+    return value
 
 
 def env_overrides(environ=None):
@@ -99,14 +108,14 @@ def load_config(path=None, sets=(), environ=None):
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(document, dict):
             raise ConfigError("config document must be a JSON object")
-        _deep_merge(cfg, document)
+        _merge(cfg, document, DEFAULTS)
     for dotted, value in env_overrides(environ):
-        _set_path(cfg, dotted, value)
+        _merge(cfg, _nested(dotted, value), DEFAULTS)
     for item in sets:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         dotted, _, raw = item.partition("=")
-        _set_path(cfg, dotted.strip(), _parse_value(raw))
+        _merge(cfg, _nested(dotted.strip(), _parse_value(raw)), DEFAULTS)
     return cfg
 
 
@@ -118,7 +127,29 @@ def attack_config(cfg):
         raise ConfigError(f"invalid attack section: {exc}") from exc
 
 
+def _check_null_default(cfg, dotted, test, kind):
+    """Raise ConfigError unless the null-default key `dotted` is null or passes `test`."""
+    section, key = dotted.split(".")
+    value = cfg[section][key]
+    if value is not None and not test(value):
+        raise ConfigError(f"config key {dotted} takes null or {kind}, got {json.dumps(value)}")
+
+
+def _is_path(value):
+    return isinstance(value, str)
+
+
+def validate_model_section(cfg):
+    _check_null_default(cfg, "model.checkpoint", _is_path, "a path")
+    _check_null_default(cfg, "model.ensemble", lambda v: isinstance(v, list) and all(map(_is_path, v)),
+                        "a list of paths")
+    return cfg["model"]
+
+
 def validate_dataset_section(cfg):
+    for key in ("dataset.images", "dataset.labels"):
+        _check_null_default(cfg, key, _is_path, "a path")
+    _check_null_default(cfg, "dataset.subset_size", lambda v: type(v) is int, "an integer")
     ds = cfg["dataset"]
     if ds["source"] == "idx":
         for key in ("images", "labels"):

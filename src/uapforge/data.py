@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import array_fingerprint
+from .tensor import array_fingerprint, write_atomic
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -88,7 +88,7 @@ def load_idx(images_path, labels_path, name="", dtype=np.float32):
 
 
 def save_idx(dataset, images_path, labels_path):
-    """Write a dataset as an IDX pair (pixels quantized back to bytes)."""
+    """Write a dataset as an IDX pair (pixels quantized back to bytes), each file through write_atomic."""
     images = dataset.images
     if images.ndim != 4 or images.shape[1] != 1:
         raise ValueError("IDX export expects [n, 1, H, W] images")
@@ -96,12 +96,8 @@ def save_idx(dataset, images_path, labels_path):
         raise ValueError("IDX export needs labels")
     n, _, rows, cols = images.shape
     pixels = np.clip(np.rint(images * 255.0), 0, 255).astype(np.uint8)
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols))
-        f.write(pixels.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABEL_MAGIC, n))
-        f.write(dataset.labels.astype(np.uint8).tobytes())
+    write_atomic(images_path, struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols) + pixels.tobytes())
+    write_atomic(labels_path, struct.pack(">II", IDX_LABEL_MAGIC, n) + dataset.labels.astype(np.uint8).tobytes())
 
 
 def synth_blobs(num_classes, n, shape, spread, seed=0, modes=1, dtype=np.float32):
@@ -138,8 +134,8 @@ def synth_blobs(num_classes, n, shape, spread, seed=0, modes=1, dtype=np.float32
 
 def subset(dataset, size, seed=0):
     """Seeded random subset without replacement (the limited-data setting)."""
-    if size > len(dataset):
-        raise ValueError(f"subset size {size} exceeds dataset size {len(dataset)}")
+    if not 0 < size <= len(dataset):
+        raise ValueError(f"subset size {size} is not in [1, {len(dataset)}], the dataset size")
     idx = np.sort(np.random.default_rng(seed).choice(len(dataset), size=size, replace=False))
     return dataset.take(idx, f"{dataset.name}-sub{size}")
 

@@ -77,19 +77,29 @@ def flatten():
 def normalize(mean, std):
     mean = tuple(float(m) for m in np.atleast_1d(mean))
     std = tuple(float(s) for s in np.atleast_1d(std))
-    if any(s <= 0 for s in std):
-        raise ValueError("normalize std must be positive")
     return LayerSpec("normalize", mean=mean, std=std)
+
+
+# the size fields each layer kind uses; each must be a positive int
+_SIZE_FIELDS = {"dense": ("in_features", "out_features"), "conv2d": ("in_channels", "out_channels", "kernel")}
 
 
 def infer_shapes(spec, input_shape):
     """Walk the layer list and return the per-layer output shapes.
 
-    Raises ValueError if adjacent layers do not compose.
+    Raises ValueError if adjacent layers do not compose, a size the layer
+    uses is not a positive int, `bias` is not a bool, or a normalize layer's
+    constants are not finite with a positive std.
     """
     shape = tuple(input_shape)
     shapes = []
     for i, layer in enumerate(spec):
+        for key in _SIZE_FIELDS.get(layer.kind, ()):
+            size = getattr(layer, key)
+            if type(size) is not int or size < 1:
+                raise ValueError(f"layer {i} ({layer.kind}) {key} must be a positive int, got {size!r}")
+        if type(layer.bias) is not bool:
+            raise ValueError(f"layer {i} ({layer.kind}) bias must be a bool, got {layer.bias!r}")
         if layer.kind == "dense":
             if shape != (layer.in_features,):
                 raise ValueError(f"layer {i} (dense) expects ({layer.in_features},), got {shape}")
@@ -113,6 +123,8 @@ def infer_shapes(spec, input_shape):
         elif layer.kind == "normalize":
             if len(shape) != 3 or len(layer.mean) != shape[0] or len(layer.std) != shape[0]:
                 raise ValueError(f"layer {i} (normalize) constants do not match {shape}")
+            if not (np.all(np.isfinite(layer.mean + layer.std)) and min(layer.std) > 0):
+                raise ValueError(f"layer {i} (normalize) needs finite constants and a positive std")
         else:
             raise ValueError(f"unknown layer kind {layer.kind!r}")
         shapes.append(shape)
@@ -317,13 +329,6 @@ def build_model(spec, input_shape, seed=0, dtype=np.float32):
         input_shape=tuple(input_shape),
         num_classes=shapes[-1][0],
     )
-
-
-def param_distance(a, b):
-    """Euclidean norm of the parameter difference; specs must match."""
-    if a.spec != b.spec:
-        raise ValueError("param_distance requires identical layer specs")
-    return float(np.linalg.norm(a.params.astype(np.float64) - b.params.astype(np.float64)))
 
 
 def train_erm(model, dataset, epochs, lr, batch, seed=0):

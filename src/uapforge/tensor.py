@@ -3,7 +3,8 @@
 Tensors are plain numpy arrays (row-major, float32 or float64). This module
 owns the files of perturbation artifacts and model checkpoints (a UAPT container
 at <path>, a JSON sidecar at <path>.json and an optional <path>.log.csv), and
-its `write_atomic` also writes the eval and ablate reports.
+its `write_atomic` also writes reports and IDX files. `load_artifact` alone checks
+a payload against its sidecar: a delta's `content_hash`, a checkpoint's `params_fingerprint`.
 """
 
 import hashlib
@@ -25,6 +26,10 @@ _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 class TensorFormatError(ValueError):
     """Raised when a tensor container file or its sidecar is malformed."""
+
+
+class ContentMismatch(TensorFormatError):
+    """Raised when a readable payload does not match the identity its sidecar records."""
 
 
 def require_finite(arr, what="tensor"):
@@ -135,11 +140,6 @@ def fnv1a_64(data: bytes) -> int:
     return h
 
 
-def file_content_hash(path):
-    """SHA-1 hex digest of the payload file at `path`; equals content_hash of the array saved there."""
-    return hashlib.sha1(_read(path)).hexdigest()
-
-
 def save_artifact(path, arr, meta, log_csv=None):
     """Write the payload, the `log_csv` text if given and, last, the sidecar, so a partial artifact has none."""
     save_tensor(path, arr)
@@ -161,5 +161,12 @@ def read_sidecar(path):
 
 
 def load_artifact(path):
-    """(array, metadata) of the artifact at `path`; raises as load_tensor and read_sidecar do."""
-    return load_tensor(path), read_sidecar(path)
+    """(array, metadata) of the artifact at `path`; raises as load_tensor and read_sidecar do, and
+    ContentMismatch unless the payload is exactly the one the sidecar's identity names."""
+    arr, meta = load_tensor(path), read_sidecar(path)
+    key = "content_hash" if "content_hash" in meta else "params_fingerprint"
+    if not isinstance(meta.get(key), str):
+        raise TensorFormatError(f"sidecar {path}.json records no content_hash or params_fingerprint string")
+    if (content_hash if key == "content_hash" else array_fingerprint)(arr) != meta[key]:
+        raise ContentMismatch(f"artifact {path}: payload does not match the sidecar's {key}")
+    return arr, meta

@@ -1,5 +1,6 @@
 """Schedule, step schedule and inner loop (vs grid search), Adam ascent step, full craft."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from uapforge import data as D
 from uapforge import models as M
 from uapforge import optim
 from uapforge.errors import CraftingFailed
-from uapforge.tensor import content_hash, file_content_hash
+from uapforge.tensor import content_hash
 
 
 def paper_config(**overrides):
@@ -489,5 +490,5 @@ def test_artifact_roundtrip(tmp_path, blob_setup):
     assert meta2["config"]["epsilon"] == cfg.epsilon
     assert meta2["model_fingerprint"] == model.fingerprint()
     assert meta2["dataset_fingerprint"] == ds.fingerprint
-    assert meta2["content_hash"] == file_content_hash(path)
+    assert meta2["content_hash"] == hashlib.sha1(path.read_bytes()).hexdigest()
     assert (tmp_path / "delta.uapt.log.csv").exists()

@@ -96,6 +96,57 @@ def test_removed_adam_key_exits_2(workdir, capsys, monkeypatch, how):
     assert not (workdir / "out").exists()
 
 
+# (where the override goes, dotted key, value, command, exit code): an object merges into
+# an object, a value keeps its default's JSON kind, and bad dataset or training values exit 2
+OVERRIDES = {
+    "set-train-object-merges": ("set", "model.train", {"epochs": 1}, "train", 0),
+    "env-train-object-merges": ("env", "model.train", {"epochs": 1}, "train", 0),
+    "file-train-scalar": ("file", "model.train", 3, "train", 2),
+    "set-attack-scalar": ("set", "attack", 5, "train", 2),
+    "set-n-string": ("set", "dataset.n", "abc", "train", 2),
+    "env-holdout-string": ("env", "dataset.holdout_fraction", "x", "train", 2),
+    "set-epochs-string": ("set", "model.train.epochs", "x", "train", 2),
+    "file-epochs-bool": ("file", "model.train.epochs", True, "train", 2),
+    "set-shape-scalar": ("set", "dataset.shape", 5, "train", 2),
+    "set-hidden-string": ("set", "model.hidden", "a", "train", 2),
+    "set-subset-string": ("set", "dataset.subset_size", "a", "craft", 2),
+    "set-checkpoint-number": ("set", "model.checkpoint", 5, "train", 2),
+    "set-ensemble-string": ("set", "model.ensemble", "a.uapt", "craft", 2),
+    "set-spread-zero": ("set", "dataset.spread", 0, "train", 2),
+    "set-dataset-seed-negative": ("set", "dataset.seed", -1, "train", 2),
+    "set-subset-too-large": ("set", "dataset.subset_size", 99999, "train", 2),
+    "set-subset-negative": ("set", "dataset.subset_size", -1, "train", 2),
+    "set-idx-bad-magic": ("set", "dataset", {"source": "idx", "images": "bad.idx", "labels": "bad.idx"}, "train", 2),
+    "set-lr-negative": ("set", "model.train.lr", -1, "train", 2),
+    "set-hidden-zero": ("set", "model.hidden", 0, "train", 2),
+}
+
+
+@pytest.mark.parametrize("where,dotted,value,command,code", OVERRIDES.values(), ids=OVERRIDES.keys())
+def test_overrides_merge_or_exit_2(workdir, capsys, monkeypatch, where, dotted, value, command, code):
+    (workdir / "bad.idx").write_bytes(bytes(16))
+    argv = ["--config", "run.json", command]
+    if where == "set":
+        argv[2:2] = ["--set", f"{dotted}={json.dumps(value)}"]
+    elif where == "env":
+        monkeypatch.setenv("UAPFORGE_" + dotted.upper().replace(".", "__"), json.dumps(value))
+    else:
+        cfg = json.loads((workdir / "run.json").read_text())
+        *parents, key = dotted.split(".")
+        node = cfg
+        for part in parents:
+            node = node[part]
+        node[key] = value
+        (workdir / "run.json").write_text(json.dumps(cfg))
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.count("error:") == 1 and err.count("\n") == 1, err
+    else:
+        _, meta = __import__("uapforge").load_checkpoint("out/checkpoints/mlp-s0.uapt")
+        assert meta["train_config"] == {"epochs": 1, "lr": 0.3, "batch": 30, "seed": 0}
+
+
 def test_attack_config_validation_maps_to_config_error():
     cfg = C.load_config(None, sets=["attack.rho=-1"])
     with pytest.raises(ConfigError):
@@ -220,6 +271,49 @@ def test_eval_corrupt_delta_payload_exits_5(workdir, capsys):
     assert not reports.exists() or not any(reports.iterdir())
 
 
+def test_verify_truncated_delta_exits_5(workdir, capsys):
+    assert cli.main(["--config", "run.json", "train"]) == 0
+    assert cli.main(["--config", "run.json", "craft"]) == 0
+    (delta,) = delta_paths(workdir)
+    delta.write_bytes(delta.read_bytes()[:-1])
+    capsys.readouterr()
+    assert cli.main(["verify", str(delta)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error:") == 1
+
+
+def _flip_last_byte(path):
+    blob = bytearray(path.read_bytes())
+    blob[-1] ^= 0xFF
+    path.write_bytes(bytes(blob))
+
+
+def test_verify_flipped_checkpoint_byte_is_mismatch(workdir, capsys):
+    assert cli.main(["--config", "run.json", "train"]) == 0
+    _flip_last_byte(workdir / "out/checkpoints/mlp-s0.uapt")
+    capsys.readouterr()
+    assert cli.main(["verify", "out/checkpoints/mlp-s0.uapt"]) == 1
+    assert capsys.readouterr().out == "MISMATCH out/checkpoints/mlp-s0.uapt\n"
+
+
+@pytest.mark.parametrize("command", ["craft", "eval"])
+def test_checkpoint_with_flipped_payload_byte_exits_5(workdir, capsys, command):
+    assert cli.main(["--config", "run.json", "train"]) == 0
+    assert cli.main(["--config", "run.json", "craft"]) == 0
+    (delta,) = delta_paths(workdir)
+    _flip_last_byte(workdir / "out/checkpoints/mlp-s0.uapt")
+    before = sorted(p for p in (workdir / "out").rglob("*") if p.is_file())
+    capsys.readouterr()
+    argv = {
+        "craft": ["--config", "run.json", "--set", "attack.seed=4", "craft"],
+        "eval": ["--config", "run.json", "--set", f"eval.deltas=[\"{delta}\"]", "eval"],
+    }[command]
+    assert cli.main(argv) == 5
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "params_fingerprint" in err, err
+    assert sorted(p for p in (workdir / "out").rglob("*") if p.is_file()) == before
+
+
 def test_verify_missing_exits_5(workdir):
     assert cli.main(["verify", "nothing.uapt"]) == 5
 
@@ -230,6 +324,27 @@ def _no_spec(meta):
 
 def _wrong_input_shape(meta):
     meta["input_shape"] = [1, 9, 9]  # the mlp's first dense layer takes 64 features, not 81
+
+
+def _zero_std_normalize_first(meta):
+    meta["spec"].insert(0, {"kind": "normalize", "mean": [0.0], "std": [0.0]})
+
+
+def _float_hidden_width(meta):
+    meta["spec"][1]["out_features"] = meta["spec"][3]["in_features"] = 12.0
+
+
+def _string_bias(meta):
+    meta["spec"][1]["bias"] = "no"
+
+
+def _config_not_object(meta):
+    meta["config"] = 5
+
+
+def _fingerprint_only(meta):
+    # a checkpoint's identity key, with the delta's true fingerprint
+    meta["params_fingerprint"] = meta.pop("content_hash")[:16]
 
 
 # (command, artifact whose sidecar is damaged, new sidecar text / None to delete / edit of the metadata)
@@ -245,6 +360,14 @@ BAD_SIDECARS = {
     "craft-checkpoint-missing": ("craft", "checkpoint", None),
     "craft-checkpoint-no-spec": ("craft", "checkpoint", _no_spec),
     "craft-checkpoint-bad-input-shape": ("craft", "checkpoint", _wrong_input_shape),
+    "craft-checkpoint-zero-std": ("craft", "checkpoint", _zero_std_normalize_first),
+    "eval-checkpoint-zero-std": ("eval", "checkpoint", _zero_std_normalize_first),
+    "craft-checkpoint-float-width": ("craft", "checkpoint", _float_hidden_width),
+    "craft-checkpoint-string-bias": ("craft", "checkpoint", _string_bias),
+    "eval-delta-config-not-object-hash-ok": ("eval", "delta", _config_not_object),
+    "eval-delta-fingerprint-only": ("eval", "delta", _fingerprint_only),
+    "verify-delta-empty-object": ("verify", "delta", "{}"),
+    "verify-checkpoint-no-identity": ("verify", "checkpoint", lambda meta: meta.pop("params_fingerprint")),
 }
 
 

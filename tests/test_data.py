@@ -82,6 +82,14 @@ def test_idx_roundtrip(tmp_path):
     assert np.abs(back.images - ds.images).max() <= 0.5 / 255 + 1e-9
 
 
+def test_failed_idx_label_write_leaves_no_label_file(tmp_path, fail_writes):
+    ds = D.synth_blobs(3, 30, (1, 6, 6), spread=0.1, seed=4)
+    fail_writes("labels.idx")
+    with pytest.raises(OSError):
+        D.save_idx(ds, tmp_path / "images.idx", tmp_path / "labels.idx")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["images.idx"]
+
+
 # -- synthetic blobs -----------------------------------------------------------
 
 

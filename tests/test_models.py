@@ -98,6 +98,25 @@ def test_non_composing_spec_rejected():
         M.build_model([M.conv2d(1, 4, 5)], (1, 3, 3), seed=0)
 
 
+BAD_LAYERS = {
+    "zero-width": ([M.flatten(), M.dense(16, 0)], "out_features"),
+    "float-width": ([M.flatten(), M.dense(16, 3.0)], "out_features"),
+    "bool-kernel": ([M.conv2d(1, 2, True)], "kernel"),
+    "string-bias": ([M.flatten(), M.dense(16, 3, bias="no")], "bias"),
+    "zero-std": ([M.normalize([0.5], [0.0]), M.flatten(), M.dense(16, 3)], "normalize"),
+    "nan-mean": ([M.normalize([np.nan], [0.5]), M.flatten(), M.dense(16, 3)], "normalize"),
+    "inf-std": ([M.normalize([0.5], [np.inf]), M.flatten(), M.dense(16, 3)], "normalize"),
+}
+
+
+@pytest.mark.parametrize("spec,match", BAD_LAYERS.values(), ids=BAD_LAYERS.keys())
+def test_infer_shapes_rejects_bad_layer_fields(spec, match):
+    with pytest.raises(ValueError, match=match):
+        M.infer_shapes(spec, (1, 4, 4))
+    with pytest.raises(ValueError, match=match):
+        M.build_model(spec, (1, 4, 4), seed=0)
+
+
 def test_output_must_be_logit_vector():
     with pytest.raises(ValueError, match="logit"):
         M.build_model([M.conv2d(1, 2, 3)], (1, 8, 8), seed=0)
@@ -273,34 +292,6 @@ def test_perturbation_must_have_one_samples_shape():
             m.loss_grad(X, Y, "perturbation", delta=bad)
         with pytest.raises(ValueError, match="perturbation shape"):
             m.loss(X, Y, delta=bad)
-
-
-# -- param_distance -----------------------------------------------------------
-
-
-def test_param_distance_metric():
-    a = M.build_model([M.dense(4, 2)], (4,), seed=0, dtype=np.float64)
-    assert M.param_distance(a, a) == 0.0
-    shifted = a.params.copy()
-    shifted[3] += 3.0
-    b = a.with_params(shifted)
-    assert M.param_distance(a, b) == pytest.approx(3.0, abs=1e-15)
-    assert M.param_distance(b, a) == M.param_distance(a, b)
-
-
-def test_param_distance_matches_naive():
-    rng = np.random.default_rng(8)
-    a = M.build_model([M.dense(6, 3)], (6,), seed=1, dtype=np.float64)
-    b = a.with_params(a.params + rng.normal(size=a.params.size))
-    naive = np.sqrt(sum((x - y) ** 2 for x, y in zip(a.params, b.params)))
-    assert abs(M.param_distance(a, b) - naive) <= 1e-12
-
-
-def test_param_distance_spec_mismatch():
-    a = M.build_model([M.dense(4, 2)], (4,), seed=0)
-    b = M.build_model([M.dense(4, 3)], (4,), seed=0)
-    with pytest.raises(ValueError):
-        M.param_distance(a, b)
 
 
 # -- ensembles ------------------------------------------------------------------

@@ -124,11 +124,11 @@ def test_any_sidecar_bytes_load_or_raise_format_error(tmp_path_factory, blob):
 def test_artifact_roundtrip_writes_payload_log_and_sidecar(tmp_path):
     arr = np.arange(4, dtype=np.float32)
     path = tmp_path / "a.uapt"
-    T.save_artifact(path, arr, {"k": [1, 2]}, log_csv="epoch\n1\n")
+    T.save_artifact(path, arr, {"k": [1, 2], "content_hash": T.content_hash(arr)}, log_csv="epoch\n1\n")
     back, meta = T.load_artifact(path)
-    assert np.array_equal(back, arr) and meta == {"k": [1, 2]}
+    assert np.array_equal(back, arr) and meta == {"k": [1, 2], "content_hash": T.content_hash(arr)}
     assert (tmp_path / "a.uapt.log.csv").read_text() == "epoch\n1\n"
-    assert T.file_content_hash(path) == T.content_hash(arr)
+    assert hashlib.sha1(path.read_bytes()).hexdigest() == T.content_hash(arr)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.uapt", "a.uapt.json", "a.uapt.log.csv"]
 
 
@@ -174,7 +174,7 @@ def test_fingerprint_is_content_hash_prefix(tmp_path, arr):
     assert T.array_fingerprint(arr) == T.content_hash(arr)[:16]
     path = tmp_path / "a.uapt"
     T.save_tensor(path, arr)
-    assert T.content_hash(arr) == T.content_hash(arr.copy()) == T.file_content_hash(path)
+    assert T.content_hash(arr) == T.content_hash(arr.copy()) == hashlib.sha1(path.read_bytes()).hexdigest()
     assert T.content_hash(b"spec", arr) == hashlib.sha1(b"spec" + path.read_bytes()).hexdigest()
 
 
