@@ -26,7 +26,7 @@ from .models import (
     save_checkpoint,
     train_erm,
 )
-from .optim import AdamState, ProjectionSpec, adam_step, l2_pgd_step, l2_project, normalized_descent_step
+from .optim import AdamState, adam_step, l2_pgd_step, l2_project, normalized_descent_step
 from .tensor import load_tensor, save_tensor
 
 __version__ = "0.1.0"

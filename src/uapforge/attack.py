@@ -20,7 +20,7 @@ import numpy as np
 from .data import minibatches, pseudo_labels
 from .errors import ConfigError, CraftingFailed
 from .models import as_attack_target
-from .optim import ZERO_GRAD_TOL, AdamState, adam_step, normalized_descent_step
+from .optim import AdamState, adam_step, l2_pgd_step, normalized_descent_step
 from .tensor import TensorFormatError, content_hash, fnv1a_64, load_artifact, save_artifact
 
 ORDERS = ("model_first", "data_first", "alternating", "none")
@@ -147,11 +147,13 @@ def inner_minimize(target, X, Y, steps, rho_t, r_t, alpha_m, alpha_d, clamp_box=
 
     A model step is one normalized descent step of length alpha_m on the
     parameters, so k_model steps of rho_t / k_model cannot leave the
-    rho_t-ball. A data step is `_data_step` against the current theta-star,
-    so each step sees the other side's latest iterate. Model steps are
-    skipped when rho_t = 0 and data steps when r_t = 0. theta-star and the
-    samples are lifted to float64 at their first step; a side that takes no
-    step is returned as the very input object.
+    rho_t-ball. A data step is `optim.l2_pgd_step` on the summed loss's input
+    gradient at the current theta-star: each sample moves alpha_d and is
+    projected onto its r_t-ball around the clean sample. So each step sees
+    the other side's latest iterate. Model steps are skipped when rho_t = 0
+    and data steps when r_t = 0. theta-star and the samples are lifted to
+    float64 at their first step; a side that takes no step is returned as
+    the very input object.
     """
     model_star, x = target, X
     theta = x0 = None
@@ -166,33 +168,9 @@ def inner_minimize(target, X, Y, steps, rho_t, r_t, alpha_m, alpha_d, clamp_box=
         elif step == "data" and r_t > 0:
             if x0 is None:
                 x = x0 = np.asarray(X, dtype=np.float64)
-            x = _data_step(model_star, x, Y, x0, r_t, alpha_d, clamp_box)
+            _, grad = model_star.loss_grad(x, Y, "input", reduction="sum")
+            x = l2_pgd_step(x, grad.astype(np.float64), alpha_d, x0, r_t, clamp_box)
     return model_star, x
-
-
-def _row_norms(arr):
-    flat = arr.reshape(arr.shape[0], -1)
-    return np.sqrt(np.sum(flat * flat, axis=1))
-
-
-def _data_step(model_star, x, Y, x0, r_t, alpha, clamp_box):
-    """One per-sample normalized descent step plus ball projection."""
-    _, grad = model_star.loss_grad(x, Y, "input", reduction="sum")
-    grad = grad.astype(np.float64)
-    norms = _row_norms(grad)
-    moving = norms >= ZERO_GRAD_TOL
-    scale = np.where(moving, alpha / np.where(moving, norms, 1.0), 0.0)
-    step = grad * scale.reshape(-1, *([1] * (x.ndim - 1)))
-    x = x - step
-    disp = x - x0
-    dnorms = _row_norms(disp)
-    outside = dnorms > r_t * (1.0 + 1e-12)
-    if np.any(outside):
-        shrink = np.where(outside, r_t / np.where(outside, dnorms, 1.0), 1.0)
-        x = x0 + disp * shrink.reshape(-1, *([1] * (x.ndim - 1)))
-    if clamp_box:
-        x = np.clip(x, 0.0, 1.0)
-    return x
 
 
 def uap_update(uap, model_star, X_star, Y, gamma):
@@ -284,7 +262,8 @@ def craft(config, model_or_models, dataset):
                 0.0 if model_star is target
                 else float(np.linalg.norm(model_star.flat_params().astype(np.float64) - theta0))
             )
-            data_disp = 0.0 if x_star is batch.X else float(_row_norms(np.asarray(x_star) - batch.X).max())
+            data_disp = 0.0 if x_star is batch.X else float(
+                np.linalg.norm((x_star - batch.X).reshape(len(x_star), -1), axis=1).max())
             delta_inf = float(np.abs(uap.delta).max())
             for name, value, bound in (
                 ("l-infinity", delta_inf, uap.epsilon),

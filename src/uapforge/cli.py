@@ -151,22 +151,25 @@ def cmd_eval(cfg):
 
 
 def cmd_ablate(cfg):
-    dirs = _out_dirs(cfg)
     axis = cfg["ablate"]["axis"]
     values = cfg["ablate"]["values"]
     if axis not in ABLATE_AXES:
         raise ConfigError(f"ablate.axis must be one of {ABLATE_AXES}, got {axis!r}")
     if not values:
         raise ConfigError("ablate.values must be a non-empty list")
-    craft_ds, _, holdout = load_datasets(cfg)
     base = C.attack_config(cfg)
-    target = _craft_target(cfg, dirs)
-    lines = [f"{axis},fooling_ratio,n,delta_hash"]
+    points = []
     for value in values:
+        C.check_override(f"attack.{axis}", value)
         try:
-            atk = replace(base, **{axis: value})
+            points.append(replace(base, **{axis: value}))
         except ValueError as exc:
             raise ConfigError(f"invalid sweep value {value!r} for axis {axis}: {exc}") from exc
+    dirs = _out_dirs(cfg)
+    craft_ds, _, holdout = load_datasets(cfg)
+    target = _craft_target(cfg, dirs)
+    lines = [f"{axis},fooling_ratio,n,delta_hash"]
+    for value, atk in zip(values, points):
         delta, _ = A.craft(atk, target, craft_ds)
         rep = E.fooling_ratio(target, holdout, delta)
         lines.append(f"{value},{rep.fooling_ratio:.4f},{rep.n_evaluated},{rep.delta_hash}")

@@ -5,8 +5,9 @@ variables use the UAPFORGE_ prefix with double underscores between nesting
 levels (UAPFORGE_ATTACK__EPSILON=0.05); --set flags use dotted paths
 (attack.epsilon=0.05). Values are parsed as JSON where possible. Every
 source merges the same way: an object merges into an object key by key, and a
-value keeps its default's JSON kind (a number also takes an integer). Keys
-whose default is null are checked where their section is validated.
+value keeps its default's JSON kind (a number also takes an integer), and an
+array's elements take the kind ELEMENT_KINDS gives them. Keys whose default
+is null are checked where their section is validated.
 """
 
 import copy
@@ -16,6 +17,7 @@ from dataclasses import asdict
 
 from .attack import AttackConfig, apply_variant
 from .errors import ConfigError
+from .evaluate import REPORT_FORMATS
 
 ENV_PREFIX = "UAPFORGE_"
 
@@ -46,6 +48,15 @@ DEFAULTS = {
     "output": {"directory": "out", "formats": ["json", "csv"]},
 }
 
+# the kind of every element of an array-valued key
+ELEMENT_KINDS = {
+    "dataset.shape": (int, "integers"),
+    "model.ensemble": (str, "paths"),
+    "eval.targets": (str, "paths"),
+    "eval.deltas": (str, "paths"),
+    "output.formats": (str, "strings"),
+}
+
 
 def _parse_value(text):
     try:
@@ -72,8 +83,12 @@ def _merge(cfg, update, defaults, path=""):
             raise ConfigError(f"config key {here} takes {_KIND_NAMES[type(default)]}, got {json.dumps(value)}")
         if isinstance(default, dict):
             _merge(cfg[key], value, default, here)
-        else:
-            cfg[key] = value
+            continue
+        if type(value) is list and here in ELEMENT_KINDS:
+            kind, kinds = ELEMENT_KINDS[here]
+            if any(type(item) is not kind for item in value):
+                raise ConfigError(f"config key {here} takes an array of {kinds}, got {json.dumps(value)}")
+        cfg[key] = value
 
 
 def _nested(dotted, value):
@@ -116,7 +131,15 @@ def load_config(path=None, sets=(), environ=None):
             raise ConfigError(f"--set expects key=value, got {item!r}")
         dotted, _, raw = item.partition("=")
         _merge(cfg, _nested(dotted.strip(), _parse_value(raw)), DEFAULTS)
+    unknown = [fmt for fmt in cfg["output"]["formats"] if fmt not in REPORT_FORMATS]
+    if unknown:
+        raise ConfigError(f"output.formats takes entries of {list(REPORT_FORMATS)}, got {json.dumps(unknown)}")
     return cfg
+
+
+def check_override(dotted, value):
+    """Raise ConfigError unless `--set dotted=value` would merge into the defaults."""
+    _merge(copy.deepcopy(DEFAULTS), _nested(dotted, value), DEFAULTS)
 
 
 def attack_config(cfg):
@@ -141,8 +164,7 @@ def _is_path(value):
 
 def validate_model_section(cfg):
     _check_null_default(cfg, "model.checkpoint", _is_path, "a path")
-    _check_null_default(cfg, "model.ensemble", lambda v: isinstance(v, list) and all(map(_is_path, v)),
-                        "a list of paths")
+    _check_null_default(cfg, "model.ensemble", lambda v: isinstance(v, list), "a list of paths")
     return cfg["model"]
 
 

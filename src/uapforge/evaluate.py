@@ -136,6 +136,9 @@ def _csv_rows(report):
     return out
 
 
+REPORT_FORMATS = ("json", "csv")
+
+
 def report_write(report, path, format="json"):
     """Deterministic serialization: sorted keys, four decimal places."""
     if format == "json":

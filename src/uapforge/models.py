@@ -339,6 +339,8 @@ def train_erm(model, dataset, epochs, lr, batch, seed=0):
     """
     if lr <= 0:
         raise ValueError("lr must be positive")
+    if epochs < 0:
+        raise ValueError("epochs must be non-negative")
     if dataset.labels is None:
         raise ValueError("training requires ground-truth labels")
     X, Y = dataset.images, dataset.labels

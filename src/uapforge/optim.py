@@ -1,9 +1,11 @@
 """The three update rules the attack composes.
 
-Normalized gradient descent on flat parameters, l2-projected gradient descent
-on data, and Adam with an l-infinity clamp handled by the caller. Gradients
-with l2 norm below ZERO_GRAD_TOL skip the step instead of dividing by a tiny
-norm, which keeps every budget invariant intact.
+Normalized gradient descent on flat parameters (the inner loop's model step),
+per-sample l2-projected gradient descent on a batch (its data step: axis 0
+indexes samples, each steps and is projected onto its own ball), and Adam
+with an l-infinity clamp handled by the caller. Gradients with l2 norm below
+ZERO_GRAD_TOL skip the step instead of dividing by a tiny norm, which keeps
+every budget invariant intact.
 """
 
 from dataclasses import dataclass
@@ -36,49 +38,49 @@ def normalized_descent_step(theta, grad, alpha):
     return theta - (alpha / norm) * grad
 
 
-@dataclass
-class ProjectionSpec:
-    """An l2 ball: center tensor and non-negative radius."""
-
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("radius must be non-negative")
+def _sample_norms(a):
+    """The l2 norm of each sample; axis 0 indexes samples."""
+    return np.linalg.norm(a.reshape(len(a), -1), axis=1)
 
 
-def l2_project(v, spec):
-    """Map v onto the l2 ball around spec.center if it lies outside.
+def l2_project(v, center, radius):
+    """Map each sample of v that lies outside the l2 ball around its center onto it.
 
-    Points already inside (up to relative rounding slack) are returned
-    unchanged, so the projection is bit-wise idempotent.
+    When every sample is inside (up to relative rounding slack), v itself is
+    returned, so the projection is bit-wise idempotent. Otherwise a sample
+    inside comes back as center + (v - center), which can differ from v in
+    the last bit.
     """
-    if v.shape != spec.center.shape:
-        raise ValueError(f"shape mismatch: v {v.shape}, center {spec.center.shape}")
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
+    if v.shape != center.shape:
+        raise ValueError(f"shape mismatch: v {v.shape}, center {center.shape}")
     require_finite(v, "projection input")
-    disp = v - spec.center
-    norm = float(np.linalg.norm(disp))
-    if norm <= spec.radius * (1.0 + _BALL_SLACK):
+    disp = v - center
+    norms = _sample_norms(disp)
+    outside = norms > radius * (1.0 + _BALL_SLACK)
+    if not np.any(outside):
         return v
-    return spec.center + disp * (spec.radius / norm)
+    shrink = np.where(outside, radius / np.where(outside, norms, 1.0), 1.0)
+    return center + disp * shrink.reshape(-1, *[1] * (v.ndim - 1))
 
 
-def l2_pgd_step(x, grad, alpha, spec, clamp_box=False):
-    """One l2-PGD descent step followed by projection onto spec's ball.
+def l2_pgd_step(x, grad, alpha, center, radius, clamp_box=False):
+    """One l2-PGD descent step per sample, then projection onto each sample's ball.
 
-    x' = project(x - alpha * grad / ||grad||_2); with `clamp_box` the result
-    is additionally clamped to the [0, 1] pixel box.
+    x'_i = project(x_i - alpha * g_i / ||g_i||_2); a sample whose gradient
+    norm is below ZERO_GRAD_TOL is only projected. With `clamp_box` the
+    result is clamped to the [0, 1] pixel box last.
     """
     if x.shape != grad.shape:
         raise ValueError(f"shape mismatch: x {x.shape}, grad {grad.shape}")
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
     require_finite(grad, "gradient")
-    norm = float(np.linalg.norm(grad))
-    if norm >= ZERO_GRAD_TOL:
-        x = x - (alpha / norm) * grad
-    x = l2_project(x, spec)
+    norms = _sample_norms(grad)
+    moving = norms >= ZERO_GRAD_TOL
+    scale = np.where(moving, alpha / np.where(moving, norms, 1.0), 0.0)
+    x = l2_project(x - grad * scale.reshape(-1, *[1] * (x.ndim - 1)), center, radius)
     if clamp_box:
         x = np.clip(x, 0.0, 1.0)
     return x

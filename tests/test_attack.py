@@ -265,20 +265,22 @@ def test_inner_data_clamp_box_keeps_edge_samples_in_box_and_ball():
     assert m.loss(x_star, Y) < m.loss(X, Y)
 
 
-def test_data_step_matches_scalar_pgd_rule():
-    # the vectorized batch step must agree with the one-sample update rule
+def test_inner_data_step_is_one_loss_grad_and_l2_pgd_step():
+    # each data step is the summed loss's input gradient at theta-star fed to optim's per-sample
+    # l2-PGD rule around the clean samples; the second step of 0.12 leaves the 0.2-ball and is projected
     m = fixed_linear_2d()
     rng = np.random.default_rng(4)
     X = rng.uniform(0, 1, (4, 2))
     Y = rng.integers(0, 2, 4)
-    x0 = X.astype(np.float64)
     alpha, r_t = 0.12, 0.2
-    stepped = A._data_step(m, x0, Y, x0, r_t, alpha, clamp_box=False)
-    _, grads = m.loss_grad(x0, Y, "input", reduction="sum")
-    for i in range(4):
-        spec = optim.ProjectionSpec(center=x0[i], radius=r_t)
-        want = optim.l2_pgd_step(x0[i], grads[i], alpha, spec)
-        assert np.array_equal(stepped[i], want)
+    for clamp in (False, True):
+        _, x_star = A.inner_minimize(m, X, Y, ("data", "data"), 0.0, r_t, 0.0, alpha, clamp_box=clamp)
+        want = X
+        for _ in range(2):
+            _, grad = m.loss_grad(want, Y, "input", reduction="sum")
+            want = optim.l2_pgd_step(want, grad.astype(np.float64), alpha, X, r_t, clamp)
+        assert x_star.tobytes() == want.tobytes()
+        assert np.linalg.norm(x_star - X, axis=1).max() == pytest.approx(r_t, rel=1e-12)
 
 
 # -- UAP update ------------------------------------------------------------------

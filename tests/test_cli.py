@@ -97,7 +97,9 @@ def test_removed_adam_key_exits_2(workdir, capsys, monkeypatch, how):
 
 
 # (where the override goes, dotted key, value, command, exit code): an object merges into
-# an object, a value keeps its default's JSON kind, and bad dataset or training values exit 2
+# an object, a value keeps its default's JSON kind, an array element takes its key's element
+# kind, a sweep value is checked as `--set attack.<axis>` would be, and bad dataset or
+# training values exit 2 without writing a file
 OVERRIDES = {
     "set-train-object-merges": ("set", "model.train", {"epochs": 1}, "train", 0),
     "env-train-object-merges": ("env", "model.train", {"epochs": 1}, "train", 0),
@@ -119,6 +121,16 @@ OVERRIDES = {
     "set-idx-bad-magic": ("set", "dataset", {"source": "idx", "images": "bad.idx", "labels": "bad.idx"}, "train", 2),
     "set-lr-negative": ("set", "model.train.lr", -1, "train", 2),
     "set-hidden-zero": ("set", "model.hidden", 0, "train", 2),
+    "set-epochs-negative": ("set", "model.train.epochs", -1, "train", 2),
+    "set-shape-string-element": ("set", "dataset.shape", [1, "a", 8], "train", 2),
+    "set-shape-float-element": ("set", "dataset.shape", [1, 8.5, 8], "train", 2),
+    "file-shape-bool-element": ("file", "dataset.shape", [1, True, 8], "train", 2),
+    "set-targets-number-element": ("set", "eval.targets", [7], "eval", 2),
+    "set-deltas-number-element": ("set", "eval.deltas", [3], "eval", 2),
+    "env-formats-number-element": ("env", "output.formats", [1], "eval", 2),
+    "set-sweep-rho-string": ("set", "ablate", {"axis": "rho", "values": ["a"]}, "ablate", 2),
+    "set-sweep-curriculum-number": ("set", "ablate", {"axis": "curriculum", "values": [1]}, "ablate", 2),
+    "set-sweep-order-number": ("set", "ablate", {"axis": "order", "values": ["none", 3]}, "ablate", 2),
 }
 
 
@@ -142,6 +154,7 @@ def test_overrides_merge_or_exit_2(workdir, capsys, monkeypatch, where, dotted, 
     err = capsys.readouterr().err
     if code:
         assert err.count("error:") == 1 and err.count("\n") == 1, err
+        assert not [p for p in (workdir / "out").rglob("*") if p.is_file()]
     else:
         _, meta = __import__("uapforge").load_checkpoint("out/checkpoints/mlp-s0.uapt")
         assert meta["train_config"] == {"epochs": 1, "lr": 0.3, "batch": 30, "seed": 0}
@@ -176,6 +189,19 @@ def test_train_craft_eval_pipeline(workdir, capsys):
     report = json.loads(next(p for p in reports if p.suffix == ".json").read_text())
     # one identity per array: the report names the delta by a prefix of its content hash
     assert [r["delta_hash"] for r in report["reports"]] == [meta["content_hash"][:16]]
+
+
+def test_unknown_report_format_exits_2_before_any_report(workdir, capsys):
+    assert cli.main(["--config", "run.json", "train"]) == 0
+    assert cli.main(["--config", "run.json", "craft"]) == 0
+    (delta,) = delta_paths(workdir)
+    capsys.readouterr()
+    rc = cli.main(["--config", "run.json", "--set", f'eval.deltas=["{delta}"]',
+                   "--set", 'output.formats=["json", "xml"]', "eval"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "xml" in err, err
+    assert not list((workdir / "out" / "reports").glob("*"))
 
 
 def test_craft_variant_recorded(workdir):

@@ -178,6 +178,13 @@ def test_train_zero_epochs_identity():
     assert out.params.tobytes() == m.params.tobytes()
 
 
+def test_train_rejects_negative_epochs():
+    ds = D.synth_blobs(2, 20, 4, spread=0.05, seed=0)
+    m = M.build_model([M.dense(4, 2)], (4,), seed=2)
+    with pytest.raises(ValueError, match="epochs"):
+        M.train_erm(m, ds, epochs=-1, lr=0.1, batch=8)
+
+
 def test_train_deterministic():
     ds = D.synth_blobs(3, 60, 5, spread=0.05, seed=1)
     m = M.build_model([M.dense(5, 8), M.relu(), M.dense(8, 3)], (5,), seed=0)

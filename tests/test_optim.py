@@ -63,74 +63,105 @@ def test_normalized_step_rejects_nonfinite():
 
 
 # -- l2 projection -----------------------------------------------------------
+# axis 0 indexes samples; each sample is projected onto its own ball
 
 
 def test_project_inside_unchanged():
-    spec = optim.ProjectionSpec(center=np.zeros(2), radius=1.0)
-    v = np.array([0.3, 0.4])
-    assert optim.l2_project(v, spec) is v
+    v = np.array([[0.3, 0.4]])
+    assert optim.l2_project(v, np.zeros((1, 2)), 1.0) is v
 
 
 def test_project_scales_displacement():
-    spec = optim.ProjectionSpec(center=np.array([1.0, 1.0]), radius=2.5)
-    out = optim.l2_project(np.array([4.0, 5.0]), spec)  # displacement (3, 4)
-    assert out - spec.center == pytest.approx([1.5, 2.0], abs=1e-12)
+    center = np.array([[1.0, 1.0]])
+    out = optim.l2_project(np.array([[4.0, 5.0]]), center, 2.5)  # displacement (3, 4)
+    assert out - center == pytest.approx(np.array([[1.5, 2.0]]), abs=1e-12)
 
 
 def test_project_norm_is_min_of_norm_and_radius():
     rng = np.random.default_rng(2)
-    spec = optim.ProjectionSpec(center=rng.normal(size=6), radius=0.8)
+    center = rng.normal(size=(1, 6))
     for _ in range(50):
-        v = spec.center + rng.normal(scale=2.0, size=6)
-        out = optim.l2_project(v, spec)
-        want = min(np.linalg.norm(v - spec.center), 0.8)
-        assert np.linalg.norm(out - spec.center) == pytest.approx(want, abs=1e-9)
+        v = center + rng.normal(scale=2.0, size=(1, 6))
+        out = optim.l2_project(v, center, 0.8)
+        want = min(np.linalg.norm(v - center), 0.8)
+        assert np.linalg.norm(out - center) == pytest.approx(want, abs=1e-9)
 
 
 def test_project_idempotent_bitwise():
     rng = np.random.default_rng(3)
-    spec = optim.ProjectionSpec(center=rng.normal(size=9), radius=1.3)
+    center = rng.normal(size=(1, 9))
     for _ in range(100):
-        v = spec.center + rng.normal(scale=3.0, size=9)
-        once = optim.l2_project(v, spec)
-        twice = optim.l2_project(once, spec)
+        v = center + rng.normal(scale=3.0, size=(1, 9))
+        once = optim.l2_project(v, center, 1.3)
+        twice = optim.l2_project(once, center, 1.3)
         assert once.tobytes() == twice.tobytes()
 
 
-def test_projection_spec_rejects_negative_radius():
-    with pytest.raises(ValueError):
-        optim.ProjectionSpec(center=np.zeros(1), radius=-0.1)
+def test_project_rejects_negative_radius():
+    with pytest.raises(ValueError, match="radius"):
+        optim.l2_project(np.zeros((1, 1)), np.zeros((1, 1)), -0.1)
 
 
 # -- l2 PGD step -------------------------------------------------------------
 
 
 def test_pgd_zero_grad_projects_only():
-    spec = optim.ProjectionSpec(center=np.zeros(2), radius=1.0)
-    out = optim.l2_pgd_step(np.array([3.0, 0.0]), np.zeros(2), 0.1, spec)
-    assert out == pytest.approx([1.0, 0.0], abs=1e-12)
+    out = optim.l2_pgd_step(np.array([[3.0, 0.0]]), np.zeros((1, 2)), 0.1, np.zeros((1, 2)), 1.0)
+    assert out == pytest.approx(np.array([[1.0, 0.0]]), abs=1e-12)
 
 
 def test_pgd_small_step_from_center_unprojected():
-    spec = optim.ProjectionSpec(center=np.zeros(3), radius=1.0)
-    g = np.array([1.0, 2.0, -2.0])
-    out = optim.l2_pgd_step(spec.center.copy(), g, 0.25, spec)
+    center = np.zeros((1, 3))
+    g = np.array([[1.0, 2.0, -2.0]])
+    out = optim.l2_pgd_step(center.copy(), g, 0.25, center, 1.0)
     assert np.linalg.norm(out) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_pgd_never_leaves_ball():
     rng = np.random.default_rng(4)
-    spec = optim.ProjectionSpec(center=rng.uniform(0, 1, 8), radius=0.6)
-    x = spec.center.copy()
+    center = rng.uniform(0, 1, (1, 8))
+    x = center.copy()
     for _ in range(200):
-        x = optim.l2_pgd_step(x, rng.normal(size=8), 0.3, spec)
-        assert np.linalg.norm(x - spec.center) <= 0.6 + 1e-6
+        x = optim.l2_pgd_step(x, rng.normal(size=(1, 8)), 0.3, center, 0.6)
+        assert np.linalg.norm(x - center) <= 0.6 + 1e-6
 
 
 def test_pgd_box_clamp():
-    spec = optim.ProjectionSpec(center=np.array([0.05, 0.9]), radius=5.0)
-    out = optim.l2_pgd_step(np.array([0.05, 0.9]), np.array([1.0, -1.0]), 1.0, spec, clamp_box=True)
+    center = np.array([[0.05, 0.9]])
+    out = optim.l2_pgd_step(center.copy(), np.array([[1.0, -1.0]]), 1.0, center, 5.0, clamp_box=True)
     assert out.min() >= 0.0 and out.max() <= 1.0
+
+
+@pytest.mark.parametrize("shape", [(1, 16, 16), (3, 32, 32)])
+def test_pgd_batch_rows_match_single_row_steps(shape):
+    # a batch of samples that stay inside their ball, samples pushed outside and zero gradients;
+    # a sample that is projected is bitwise its own single-sample step, and a sample left inside
+    # is that step re-expressed as center + (x - center) when another sample of the batch is projected
+    rng = np.random.default_rng(7)
+    n, alpha, radius = 125, 0.2, 0.5
+    center = rng.uniform(0, 1, (n, *shape))
+    x = center + rng.normal(size=center.shape) * rng.uniform(0, 0.6, (n, 1, 1, 1)) / np.sqrt(center[0].size)
+    grad = rng.normal(size=center.shape)
+    grad[::5] = 0.0
+    batched = optim.l2_pgd_step(x, grad, alpha, center, radius)
+    kinds = set()
+    for i in range(n):
+        row = slice(i, i + 1)
+        single = optim.l2_pgd_step(x[row], grad[row], alpha, center[row], radius)
+        unprojected = optim.l2_pgd_step(x[row], grad[row], alpha, center[row], np.inf)
+        outside = np.linalg.norm(unprojected - center[row]) > radius
+        kinds.add((bool(outside), not grad[row].any()))
+        if outside:
+            assert batched[row].tobytes() == single.tobytes()
+        else:
+            assert single.tobytes() == unprojected.tobytes()
+            assert batched[row].tobytes() == (center[row] + (single - center[row])).tobytes()
+    assert kinds == {(True, False), (False, False), (True, True), (False, True)}
+    # with no sample outside, every row is bitwise its single-sample step
+    inside = optim.l2_pgd_step(center, grad, alpha, center, radius)
+    for i in range(n):
+        single = optim.l2_pgd_step(center[i : i + 1], grad[i : i + 1], alpha, center[i : i + 1], radius)
+        assert inside[i : i + 1].tobytes() == single.tobytes()
 
 
 # -- Adam ---------------------------------------------------------------------
