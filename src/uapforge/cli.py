@@ -2,7 +2,8 @@
 
 Every subcommand reads one JSON config (see config.DEFAULTS for the schema)
 plus optional overrides, and writes artifacts under
-<output.directory>/{checkpoints,deltas,reports}.
+<output.directory>/{checkpoints,deltas,reports}. A directory is made when the
+first file is written into it, so a command that fails its checks leaves none.
 
 Exit codes are contract values: 0 ok, 2 invalid config or dataset, 3 training
 divergence, 4 numerical failure while crafting, 5 missing or corrupt artifact or
@@ -30,12 +31,9 @@ EXIT_CODES = {ConfigError: 2, TrainingDiverged: 3, CraftingFailed: 4, ArtifactMi
 ABLATE_AXES = ("rho", "r", "order", "curriculum")
 
 
-def _out_dirs(cfg):
-    root = cfg["output"]["directory"]
-    dirs = {name: os.path.join(root, name) for name in ("checkpoints", "deltas", "reports")}
-    for path in dirs.values():
-        os.makedirs(path, exist_ok=True)
-    return dirs
+def _out_path(cfg, kind, name):
+    """The path of output file `name` of `kind` (checkpoints, deltas or reports)."""
+    return os.path.join(cfg["output"]["directory"], kind, name)
 
 
 def load_datasets(cfg):
@@ -58,23 +56,20 @@ def load_datasets(cfg):
         craft_ds = train
         if section["subset_size"]:
             craft_ds = D.subset(train, section["subset_size"], seed=section["seed"])
+    except ArtifactMissing as exc:
+        raise ConfigError(f"dataset.images and dataset.labels must be readable IDX files: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"invalid dataset section: {exc}") from exc
     return craft_ds, train, holdout
 
 
-def _checkpoint_path(cfg, dirs):
-    explicit = C.validate_model_section(cfg)["checkpoint"]
-    if explicit:
-        return explicit
-    arch = cfg["model"]["arch"]
-    seed = cfg["model"]["train"]["seed"]
-    return os.path.join(dirs["checkpoints"], f"{arch}-s{seed}.uapt")
+def _checkpoint_path(cfg):
+    model = cfg["model"]
+    return model["checkpoint"] or _out_path(cfg, "checkpoints", f"{model['arch']}-s{model['train']['seed']}.uapt")
 
 
 def cmd_train(cfg):
-    dirs = _out_dirs(cfg)
-    path = _checkpoint_path(cfg, dirs)
+    path = _checkpoint_path(cfg)
     _, train_ds, holdout = load_datasets(cfg)
     section = cfg["model"]
     num_classes = int(train_ds.labels.max()) + 1 if train_ds.labels is not None else 0
@@ -100,19 +95,18 @@ def cmd_train(cfg):
     return 0
 
 
-def _craft_target(cfg, dirs):
-    paths = C.validate_model_section(cfg)["ensemble"] or [_checkpoint_path(cfg, dirs)]
+def _craft_target(cfg):
+    paths = cfg["model"]["ensemble"] or [_checkpoint_path(cfg)]
     models = [M.load_checkpoint(p)[0] for p in paths]
     return M.as_attack_target(models)
 
 
 def cmd_craft(cfg):
-    dirs = _out_dirs(cfg)
     craft_ds, _, _ = load_datasets(cfg)
     atk = C.attack_config(cfg)
-    target = _craft_target(cfg, dirs)
+    target = _craft_target(cfg)
     delta, runlog = A.craft(atk, target, craft_ds)
-    path = os.path.join(dirs["deltas"], f"{atk.variant}-{content_hash(delta)[:12]}.uapt")
+    path = _out_path(cfg, "deltas", f"{atk.variant}-{content_hash(delta)[:12]}.uapt")
     meta = A.save_uap_artifact(path, delta, atk, target, craft_ds, runlog)
     print(f"delta artifact: {path}")
     print(f"content hash: {meta['content_hash']}")
@@ -121,23 +115,22 @@ def cmd_craft(cfg):
 
 
 def cmd_eval(cfg):
-    dirs = _out_dirs(cfg)
+    delta_paths = cfg["eval"]["deltas"]
+    if not delta_paths:
+        raise ConfigError("eval.deltas must list at least one perturbation artifact")
     _, _, holdout = load_datasets(cfg)
-    target_paths = cfg["eval"]["targets"] or [_checkpoint_path(cfg, dirs)]
+    target_paths = cfg["eval"]["targets"] or [_checkpoint_path(cfg)]
     models = []
     for p in target_paths:
         model, _ = M.load_checkpoint(p)
         models.append((os.path.splitext(os.path.basename(p))[0], model))
-    delta_paths = cfg["eval"]["deltas"]
-    if not delta_paths:
-        raise ConfigError("eval.deltas must list at least one perturbation artifact")
     deltas = []
     for p in delta_paths:
         delta, meta = A.load_uap_artifact(p)
         tag = meta.get("config", {}).get("variant", os.path.basename(p))
         deltas.append((f"{tag}:{meta['content_hash'][:8]}", delta))
     tm = E.transfer_matrix(models, deltas, holdout)
-    stem = os.path.join(dirs["reports"], f"transfer-{holdout.fingerprint[:8]}")
+    stem = _out_path(cfg, "reports", f"transfer-{holdout.fingerprint[:8]}")
     written = []
     for fmt in cfg["output"]["formats"]:
         out = f"{stem}.{fmt}"
@@ -165,16 +158,15 @@ def cmd_ablate(cfg):
             points.append(replace(base, **{axis: value}))
         except ValueError as exc:
             raise ConfigError(f"invalid sweep value {value!r} for axis {axis}: {exc}") from exc
-    dirs = _out_dirs(cfg)
     craft_ds, _, holdout = load_datasets(cfg)
-    target = _craft_target(cfg, dirs)
+    target = _craft_target(cfg)
     lines = [f"{axis},fooling_ratio,n,delta_hash"]
     for value, atk in zip(values, points):
         delta, _ = A.craft(atk, target, craft_ds)
         rep = E.fooling_ratio(target, holdout, delta)
         lines.append(f"{value},{rep.fooling_ratio:.4f},{rep.n_evaluated},{rep.delta_hash}")
         print(f"{axis}={value}: fooling ratio {rep.fooling_ratio:.4f}")
-    out = os.path.join(dirs["reports"], f"ablate-{axis}.csv")
+    out = _out_path(cfg, "reports", f"ablate-{axis}.csv")
     write_atomic(out, ("\n".join(lines) + "\n").encode())
     print(f"sweep report: {out}")
     return 0

@@ -5,9 +5,11 @@ variables use the UAPFORGE_ prefix with double underscores between nesting
 levels (UAPFORGE_ATTACK__EPSILON=0.05); --set flags use dotted paths
 (attack.epsilon=0.05). Values are parsed as JSON where possible. Every
 source merges the same way: an object merges into an object key by key, and a
-value keeps its default's JSON kind (a number also takes an integer), and an
-array's elements take the kind ELEMENT_KINDS gives them. Keys whose default
-is null are checked where their section is validated.
+value keeps its default's JSON kind (a number also takes an integer). A key
+whose default is null takes null or the kind NULL_KINDS gives it, and an
+array's elements take the kind ELEMENT_KINDS gives them. The config file is
+read by tensor.read_json_object, so a file that cannot be read or holds no
+JSON object is a ConfigError like any other bad value.
 """
 
 import copy
@@ -16,8 +18,9 @@ import os
 from dataclasses import asdict
 
 from .attack import AttackConfig, apply_variant
-from .errors import ConfigError
+from .errors import ArtifactMissing, ConfigError
 from .evaluate import REPORT_FORMATS
+from .tensor import TensorFormatError, read_json_object
 
 ENV_PREFIX = "UAPFORGE_"
 
@@ -46,6 +49,16 @@ DEFAULTS = {
     "eval": {"targets": [], "deltas": []},
     "ablate": {"axis": None, "values": []},
     "output": {"directory": "out", "formats": ["json", "csv"]},
+}
+
+# the kind every key whose default is null takes when it is not null
+NULL_KINDS = {
+    "dataset.images": str,
+    "dataset.labels": str,
+    "dataset.subset_size": int,
+    "model.checkpoint": str,
+    "model.ensemble": list,
+    "ablate.axis": str,
 }
 
 # the kind of every element of an array-valued key
@@ -79,8 +92,10 @@ def _merge(cfg, update, defaults, path=""):
         if key not in defaults:
             raise ConfigError(f"unknown config key: {here}")
         default = defaults[key]
-        if default is not None and type(value) not in _KINDS.get(type(default), (type(default),)):
-            raise ConfigError(f"config key {here} takes {_KIND_NAMES[type(default)]}, got {json.dumps(value)}")
+        kind = type(default) if default is not None else NULL_KINDS[here]
+        if (default is not None or value is not None) and type(value) not in _KINDS.get(kind, (kind,)):
+            null = "" if default is not None else "null or "
+            raise ConfigError(f"config key {here} takes {null}{_KIND_NAMES[kind]}, got {json.dumps(value)}")
         if isinstance(default, dict):
             _merge(cfg[key], value, default, here)
             continue
@@ -114,15 +129,10 @@ def load_config(path=None, sets=(), environ=None):
     """Assemble the effective config: defaults <- file <- env <- --set flags."""
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
         try:
-            with open(path) as f:
-                document = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(document, dict):
-            raise ConfigError("config document must be a JSON object")
+            document = read_json_object(path)
+        except (ArtifactMissing, TensorFormatError) as exc:
+            raise ConfigError(f"config {exc}") from None
         _merge(cfg, document, DEFAULTS)
     for dotted, value in env_overrides(environ):
         _merge(cfg, _nested(dotted, value), DEFAULTS)
@@ -150,35 +160,12 @@ def attack_config(cfg):
         raise ConfigError(f"invalid attack section: {exc}") from exc
 
 
-def _check_null_default(cfg, dotted, test, kind):
-    """Raise ConfigError unless the null-default key `dotted` is null or passes `test`."""
-    section, key = dotted.split(".")
-    value = cfg[section][key]
-    if value is not None and not test(value):
-        raise ConfigError(f"config key {dotted} takes null or {kind}, got {json.dumps(value)}")
-
-
-def _is_path(value):
-    return isinstance(value, str)
-
-
-def validate_model_section(cfg):
-    _check_null_default(cfg, "model.checkpoint", _is_path, "a path")
-    _check_null_default(cfg, "model.ensemble", lambda v: isinstance(v, list), "a list of paths")
-    return cfg["model"]
-
-
 def validate_dataset_section(cfg):
-    for key in ("dataset.images", "dataset.labels"):
-        _check_null_default(cfg, key, _is_path, "a path")
-    _check_null_default(cfg, "dataset.subset_size", lambda v: type(v) is int, "an integer")
     ds = cfg["dataset"]
     if ds["source"] == "idx":
         for key in ("images", "labels"):
             if not ds[key]:
                 raise ConfigError(f"dataset.source 'idx' requires dataset.{key}")
-            if not os.path.exists(ds[key]):
-                raise ConfigError(f"dataset.{key} path does not exist: {ds[key]}")
     elif ds["source"] == "synth":
         if ds["num_classes"] < 2 or ds["n"] < ds["num_classes"]:
             raise ConfigError("dataset.synth needs num_classes >= 2 and n >= num_classes")

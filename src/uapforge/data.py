@@ -3,6 +3,7 @@
 Images are float arrays in [0, 1] with shape [n, C, H, W] (or [n, d] for flat
 synthetic data). Every dataset carries a fingerprint of its images (see
 tensor.array_fingerprint) so runs and reports can name their inputs exactly.
+IDX files are read with tensor.read_file and written with tensor.write_atomic.
 """
 
 import struct
@@ -10,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import array_fingerprint, write_atomic
+from .tensor import array_fingerprint, read_file, write_atomic
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -52,39 +53,30 @@ class Batch:
     indices: np.ndarray
 
 
-def _read_u32be(f, what):
-    data = f.read(4)
-    if len(data) != 4:
-        raise ValueError(f"truncated IDX file while reading {what}")
-    return struct.unpack(">I", data)[0]
+def _read_idx(path, magic, fields):
+    """(the `fields` u32 header values after the magic, the uint8 payload) of the IDX file at `path`."""
+    blob = read_file(path)
+    offset = 4 * (1 + fields)
+    if len(blob) < offset:
+        raise ValueError(f"truncated IDX header in {path}: {len(blob)} bytes, expected at least {offset}")
+    found, *values = struct.unpack_from(f">{1 + fields}I", blob)
+    if found != magic:
+        raise ValueError(f"bad magic {found:#010x} in {path}, expected {magic:#010x}")
+    return values, np.frombuffer(blob, dtype=np.uint8, offset=offset)
 
 
 def load_idx(images_path, labels_path, name="", dtype=np.float32):
     """Load an IDX image/label file pair, scaling pixel bytes to [0, 1]."""
-    with open(images_path, "rb") as f:
-        magic = _read_u32be(f, "image magic")
-        if magic != IDX_IMAGE_MAGIC:
-            raise ValueError(f"bad magic {magic:#010x} in {images_path}, expected {IDX_IMAGE_MAGIC:#010x}")
-        n = _read_u32be(f, "image count")
-        rows = _read_u32be(f, "rows")
-        cols = _read_u32be(f, "cols")
-        raw = f.read()
-    if len(raw) != n * rows * cols:
-        raise ValueError(f"truncated image data in {images_path}: {len(raw)} bytes, expected {n * rows * cols}")
-    images = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, rows, cols).astype(dtype) / 255.0
-
-    with open(labels_path, "rb") as f:
-        magic = _read_u32be(f, "label magic")
-        if magic != IDX_LABEL_MAGIC:
-            raise ValueError(f"bad magic {magic:#010x} in {labels_path}, expected {IDX_LABEL_MAGIC:#010x}")
-        n_labels = _read_u32be(f, "label count")
-        raw = f.read()
+    (n, rows, cols), pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, 3)
+    if len(pixels) != n * rows * cols:
+        raise ValueError(f"truncated image data in {images_path}: {len(pixels)} bytes, expected {n * rows * cols}")
+    images = pixels.reshape(n, 1, rows, cols).astype(dtype) / 255.0
+    (n_labels,), labels = _read_idx(labels_path, IDX_LABEL_MAGIC, 1)
     if n_labels != n:
         raise ValueError(f"count mismatch: {n} images vs {n_labels} labels")
-    if len(raw) != n_labels:
+    if len(labels) != n_labels:
         raise ValueError(f"truncated label data in {labels_path}")
-    labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-    return Dataset(images=images, labels=labels, name=name or "idx")
+    return Dataset(images=images, labels=labels.astype(np.int64), name=name or "idx")
 
 
 def save_idx(dataset, images_path, labels_path):

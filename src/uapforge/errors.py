@@ -14,4 +14,4 @@ class CraftingFailed(RuntimeError):
 
 
 class ArtifactMissing(FileNotFoundError):
-    """A referenced checkpoint or perturbation artifact does not exist (exit code 5)."""
+    """A file the program reads is missing or unreadable (exit code 5; a config or IDX file maps it to ConfigError)."""

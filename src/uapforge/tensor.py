@@ -1,10 +1,12 @@
-"""Dense tensor utilities: artifact files, content hashes and fingerprints, finiteness checks.
+"""Dense tensor utilities: the program's file boundary, content hashes and fingerprints, finiteness checks.
 
-Tensors are plain numpy arrays (row-major, float32 or float64). This module
-owns the files of perturbation artifacts and model checkpoints (a UAPT container
-at <path>, a JSON sidecar at <path>.json and an optional <path>.log.csv), and
-its `write_atomic` also writes reports and IDX files. `load_artifact` alone checks
-a payload against its sidecar: a delta's `content_hash`, a checkpoint's `params_fingerprint`.
+Tensors are plain numpy arrays (row-major, float32 or float64). This module alone
+opens files: `read_file` reads every input (config, IDX data, artifacts, sidecars),
+`read_json_object` parses the config file and every sidecar, and `write_atomic`
+writes every output, making its directory first. An artifact, a delta or a model
+checkpoint, is a UAPT container at <path>, a JSON sidecar at <path>.json and an
+optional <path>.log.csv. `load_artifact` alone checks a payload against its
+sidecar: a delta's `content_hash`, a checkpoint's `params_fingerprint`.
 """
 
 import hashlib
@@ -71,7 +73,9 @@ def array_fingerprint(*parts):
 
 
 def write_atomic(path, data):
-    """Write through a temp file beside `path` and a rename, so `path` never holds a partial file."""
+    """Make the missing directories above `path`, then write through a temp file beside it and a rename,
+    so `path` never holds a partial file."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
@@ -82,12 +86,14 @@ def write_atomic(path, data):
             os.remove(tmp)
 
 
-def _read(path):
+def read_file(path):
+    """The bytes of the file at `path`; raises ArtifactMissing, naming the path last, if it cannot be read."""
     try:
         with open(path, "rb") as f:
             return f.read()
-    except FileNotFoundError:
-        raise ArtifactMissing(f"artifact file not found: {path}") from None
+    except OSError as exc:
+        reason = "not found" if isinstance(exc, FileNotFoundError) else f"not readable ({exc.strerror})"
+        raise ArtifactMissing(f"file {reason}: {path}") from None
 
 
 def save_tensor(path, arr):
@@ -104,7 +110,7 @@ def _unpack(blob, offset, fmt, path):
 
 def load_tensor(path):
     """Read an array written by save_tensor; raises ArtifactMissing or TensorFormatError."""
-    blob = _read(path)
+    blob = read_file(path)
     if blob[:4] != MAGIC:
         raise TensorFormatError(f"bad magic in {path}")
     version, rank = _unpack(blob, 4, "<II", path)
@@ -127,19 +133,6 @@ def load_tensor(path):
     return arr.reshape(shape).astype(dtype.newbyteorder("="))
 
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_U64 = 0xFFFFFFFFFFFFFFFF
-
-
-def fnv1a_64(data: bytes) -> int:
-    """64-bit FNV-1a over a byte string; derives the seed salts, so its values fix every seed."""
-    h = _FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & _U64
-    return h
-
-
 def save_artifact(path, arr, meta, log_csv=None):
     """Write the payload, the `log_csv` text if given and, last, the sidecar, so a partial artifact has none."""
     save_tensor(path, arr)
@@ -148,22 +141,22 @@ def save_artifact(path, arr, meta, log_csv=None):
     write_atomic(f"{path}.json", json.dumps(meta, indent=2, sort_keys=True).encode())
 
 
-def read_sidecar(path):
-    """The sidecar's JSON object; raises ArtifactMissing or, for any other content, TensorFormatError."""
-    side = f"{path}.json"
+def read_json_object(path):
+    """The JSON object in the file at `path`; raises as read_file does or, for any other content
+    (invalid UTF-8 or JSON, nesting too deep to parse, a non-object), TensorFormatError."""
     try:
-        meta = json.loads(_read(side))
+        doc = json.loads(read_file(path))
     except (ValueError, RecursionError) as exc:
-        raise TensorFormatError(f"sidecar {side} is not valid JSON: {exc}") from None
-    if not isinstance(meta, dict):
-        raise TensorFormatError(f"sidecar {side} holds a {type(meta).__name__}, not a JSON object")
-    return meta
+        raise TensorFormatError(f"file {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise TensorFormatError(f"file {path} holds a {type(doc).__name__}, not a JSON object")
+    return doc
 
 
 def load_artifact(path):
-    """(array, metadata) of the artifact at `path`; raises as load_tensor and read_sidecar do, and
+    """(array, metadata) of the artifact at `path`; raises as load_tensor and read_json_object do, and
     ContentMismatch unless the payload is exactly the one the sidecar's identity names."""
-    arr, meta = load_tensor(path), read_sidecar(path)
+    arr, meta = load_tensor(path), read_json_object(f"{path}.json")
     key = "content_hash" if "content_hash" in meta else "params_fingerprint"
     if not isinstance(meta.get(key), str):
         raise TensorFormatError(f"sidecar {path}.json records no content_hash or params_fingerprint string")

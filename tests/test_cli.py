@@ -54,6 +54,19 @@ def test_missing_file_rejected():
         C.load_config("/nonexistent/run.json")
 
 
+def test_null_default_keys_take_null_or_their_kind():
+    nulls = {f"{section}.{key}" for section, keys in C.DEFAULTS.items() for key, value in keys.items() if value is None}
+    assert nulls == set(C.NULL_KINDS)
+    assert C.load_config(None, sets=[f"{dotted}=null" for dotted in sorted(nulls)]) == C.DEFAULTS
+    cfg = C.load_config(None, sets=["model.checkpoint=m.uapt", "dataset.subset_size=7", 'model.ensemble=["a.uapt"]'])
+    assert (cfg["model"]["checkpoint"], cfg["dataset"]["subset_size"]) == ("m.uapt", 7)
+    assert cfg["model"]["ensemble"] == ["a.uapt"]
+    with pytest.raises(ConfigError, match="model.checkpoint takes null or a string, got 5"):
+        C.load_config(None, sets=["model.checkpoint=5"])
+    with pytest.raises(ConfigError, match="dataset.subset_size takes null or an integer, got 2.5"):
+        C.load_config(None, sets=["dataset.subset_size=2.5"])
+
+
 def test_set_overrides_file(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"attack": {"epsilon": 0.2}}))
@@ -131,6 +144,9 @@ OVERRIDES = {
     "set-sweep-rho-string": ("set", "ablate", {"axis": "rho", "values": ["a"]}, "ablate", 2),
     "set-sweep-curriculum-number": ("set", "ablate", {"axis": "curriculum", "values": [1]}, "ablate", 2),
     "set-sweep-order-number": ("set", "ablate", {"axis": "order", "values": ["none", 3]}, "ablate", 2),
+    # a null-default key is kind-checked where it is merged, also by a command that does not read it
+    "set-ablate-axis-number-train": ("set", "ablate.axis", 5, "train", 2),
+    "env-labels-number-train": ("env", "dataset.labels", 5, "train", 2),
 }
 
 
@@ -154,7 +170,7 @@ def test_overrides_merge_or_exit_2(workdir, capsys, monkeypatch, where, dotted, 
     err = capsys.readouterr().err
     if code:
         assert err.count("error:") == 1 and err.count("\n") == 1, err
-        assert not [p for p in (workdir / "out").rglob("*") if p.is_file()]
+        assert not (workdir / "out").exists()
     else:
         _, meta = __import__("uapforge").load_checkpoint("out/checkpoints/mlp-s0.uapt")
         assert meta["train_config"] == {"epochs": 1, "lr": 0.3, "batch": 30, "seed": 0}
@@ -237,6 +253,64 @@ def test_missing_dataset_path_exits_2(workdir, capsys):
                    "--set", "dataset.images=missing.idx", "--set", "dataset.labels=missing2.idx", "train"])
     assert rc == 2
     assert "dataset.images" in capsys.readouterr().err
+
+
+EVAL_DELTA = ["--config", "run.json", "--set", 'eval.deltas=["{path}"]', "eval"]
+
+# (inputs to make in the work directory: name -> bytes, or None for a directory; the input path; argv
+# with {path} for it; exit code): an input that cannot be read or parsed exits with its contract code,
+# 2 for config and dataset files and 5 for artifacts; the eval cases train the checkpoint first
+UNREADABLE_INPUTS = {
+    "config-directory": ({"cfgdir": None}, "cfgdir", ["--config", "{path}", "train"], 2),
+    "config-invalid-utf8": ({"bad.json": b'{"attack": "\xff"}'}, "bad.json", ["--config", "{path}", "train"], 2),
+    "config-deep-nesting": ({"deep.json": b"[" * 100_000 + b"]" * 100_000}, "deep.json",
+                            ["--config", "{path}", "train"], 2),
+    "config-directory-verify": ({}, ".", ["--config", "{path}", "verify", "x.uapt"], 2),
+    "verify-delta-directory": ({"d.uapt": None}, "d.uapt", ["verify", "{path}"], 5),
+    "verify-delta-through-file": ({"plain": b"x"}, "plain/x.uapt", ["verify", "{path}"], 5),
+    "eval-delta-directory": ({"d.uapt": None}, "d.uapt", EVAL_DELTA, 5),
+    "eval-delta-through-file": ({"plain": b"x"}, "plain/x.uapt", EVAL_DELTA, 5),
+    "idx-images-directory": ({"idxdir": None}, "idxdir",
+                             ["--config", "run.json", "--set", "dataset.source=idx", "--set", "dataset.images={path}",
+                              "--set", "dataset.labels=run.json", "train"], 2),
+}
+
+
+@pytest.mark.parametrize("inputs,path,argv,code", UNREADABLE_INPUTS.values(), ids=UNREADABLE_INPUTS.keys())
+def test_unreadable_input_exits_with_contract_code(workdir, capsys, inputs, path, argv, code):
+    if "eval" in argv:
+        assert cli.main(["--config", "run.json", "train"]) == 0
+    for name, data in inputs.items():
+        if data is None:
+            (workdir / name).mkdir()
+        else:
+            (workdir / name).write_bytes(data)
+    made = sorted(workdir.rglob("*"))
+    capsys.readouterr()
+    assert cli.main([a.format(path=path) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert path in captured.err
+    # the command made nothing: no out/ tree, no empty report directory
+    assert sorted(workdir.rglob("*")) == made
+
+
+def test_eval_without_deltas_exits_2_before_loading_anything(workdir, capsys):
+    # no checkpoint exists: the empty eval.deltas is the problem named, not the missing checkpoint
+    assert cli.main(["--config", "run.json", "eval"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: eval.deltas must list at least one perturbation artifact\n"
+    assert not (workdir / "out").exists()
+
+
+def test_train_writes_explicit_checkpoint_into_a_missing_directory(workdir, capsys):
+    argv = ["--config", "run.json", "--set", 'model.checkpoint="nodir/sub/m.uapt"', "train"]
+    assert cli.main(argv) == 0
+    assert "checkpoint: nodir/sub/m.uapt" in capsys.readouterr().out
+    assert sorted(p.name for p in (workdir / "nodir" / "sub").iterdir()) == ["m.uapt", "m.uapt.json"]
+    assert cli.main(["verify", "nodir/sub/m.uapt"]) == 0
+    assert not (workdir / "out").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -412,6 +486,7 @@ def test_malformed_or_missing_sidecar_exits_5(workdir, capsys, command, artifact
         open(side, "w").write(json.dumps(meta))
     else:
         open(side, "w").write(sidecar)
+    before = sorted((workdir / "out").rglob("*"))
     capsys.readouterr()
     argv = {
         "eval": ["--config", "run.json", "--set", f"eval.deltas=[\"{delta}\"]", "eval"],
@@ -422,6 +497,8 @@ def test_malformed_or_missing_sidecar_exits_5(workdir, capsys, command, artifact
     captured = capsys.readouterr()
     assert "error:" in captured.err
     assert "OK" not in captured.out
+    # the failed command made no file and no directory, not even an empty out/reports
+    assert sorted((workdir / "out").rglob("*")) == before
 
 
 NINE = ["--set", "dataset.shape=[1,9,9]"]

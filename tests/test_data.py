@@ -71,6 +71,18 @@ def test_load_idx_truncated(tmp_path):
         D.load_idx(ip, lp)
 
 
+@pytest.mark.parametrize("images,labels", [
+    (struct.pack(">II", 0x803, 1), struct.pack(">II", 0x801, 1) + bytes(1)),
+    (struct.pack(">IIII", 0x803, 1, 1, 1) + bytes(1), struct.pack(">I", 0x801)),
+], ids=["image-header", "label-header"])
+def test_load_idx_short_header(tmp_path, images, labels):
+    ip, lp = tmp_path / "images.idx", tmp_path / "labels.idx"
+    ip.write_bytes(images)
+    lp.write_bytes(labels)
+    with pytest.raises(ValueError, match="truncated IDX header"):
+        D.load_idx(ip, lp)
+
+
 def test_idx_roundtrip(tmp_path):
     ds = D.synth_blobs(3, 30, (1, 6, 6), spread=0.1, seed=4)
     ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"

@@ -141,6 +141,24 @@ def test_load_artifact_missing_file(tmp_path, missing):
         T.load_artifact(path)
 
 
+@pytest.mark.parametrize("how", ["missing", "directory", "through-a-file"])
+def test_read_file_maps_every_os_error_to_artifact_missing(tmp_path, how):
+    (tmp_path / "plain").write_text("x")
+    (tmp_path / "dir").mkdir()
+    path = str(tmp_path / {"missing": "nothing", "directory": "dir", "through-a-file": "plain/x"}[how])
+    with pytest.raises(ArtifactMissing, match=re.escape(path) + "$"):
+        T.read_file(path)
+    with pytest.raises(ArtifactMissing, match=re.escape(path) + "$"):
+        T.read_json_object(path)
+
+
+def test_write_atomic_makes_the_missing_directories(tmp_path):
+    path = tmp_path / "a" / "b" / "r.csv"
+    T.write_atomic(path, b"x\n")
+    assert T.read_file(path) == b"x\n"
+    assert list((tmp_path / "a" / "b").iterdir()) == [path]
+
+
 def test_failed_payload_write_leaves_no_file(tmp_path, fail_writes):
     fail_writes("t.uapt")
     with pytest.raises(OSError):
@@ -176,13 +194,6 @@ def test_fingerprint_is_content_hash_prefix(tmp_path, arr):
     T.save_tensor(path, arr)
     assert T.content_hash(arr) == T.content_hash(arr.copy()) == hashlib.sha1(path.read_bytes()).hexdigest()
     assert T.content_hash(b"spec", arr) == hashlib.sha1(b"spec" + path.read_bytes()).hexdigest()
-
-
-def test_fnv1a_known_vectors():
-    # reference values for the 64-bit FNV-1a parameters
-    assert T.fnv1a_64(b"") == 0xCBF29CE484222325
-    assert T.fnv1a_64(b"a") == 0xAF63DC4C8601EC8C
-    assert T.fnv1a_64(b"foobar") == 0x85944171F73967E8
 
 
 def test_require_finite():
