@@ -4,10 +4,23 @@ A small tape: each `Var` wraps a numpy array and remembers the vector-Jacobian
 product of the primitive that produced it. `backward` walks the graph once in
 reverse topological order and accumulates gradients into `Var.grad`.
 
+Only the gradients asked for are computed. A leaf says whether it needs a
+gradient (`leaf(value, needs=...)`); any other node needs one when one of its
+parents does. `backward` visits only nodes that need a gradient, and each vjp
+returns None, skipping the work, for a parent that needs none, so such a
+parent's `grad` stays None.
+
 The primitive set is fixed to what a small classifier needs: matmul, 2-D
 convolution (stride 1, no padding), bias add, ReLU, 2x2 max-pool, flatten,
 per-channel affine normalization, and a fused softmax-cross-entropy. All
 reductions run in a fixed order so repeated runs are bit-identical.
+
+`maxpool2` takes the first maximal element of each window in row-major order
+(top-left, top-right, bottom-left, bottom-right), as `argmax` would: a later
+element wins only when it is strictly greater. So among equal values, also
+`0.0` and `-0.0` (ReLU emits `-0.0`), the output is the first one's bytes, and
+the gradient goes to that element alone; every other input entry, also an odd
+trailing row or column, gets `+0.0`.
 """
 
 import numpy as np
@@ -18,17 +31,19 @@ from .tensor import require_finite
 class Var:
     """Graph node: a cached forward value plus the recipe for its gradient."""
 
-    __slots__ = ("value", "parents", "vjp", "grad")
+    __slots__ = ("value", "parents", "vjp", "grad", "needs")
 
-    def __init__(self, value, parents=(), vjp=None):
+    def __init__(self, value, parents=(), vjp=None, needs=False):
         self.value = value
         self.parents = parents
-        self.vjp = vjp  # callable(grad_out) -> one gradient per parent
+        self.vjp = vjp  # callable(grad_out) -> one gradient, or None, per parent
         self.grad = None
+        self.needs = needs or any(p.needs for p in parents)
 
 
-def leaf(value):
-    return Var(np.asarray(value))
+def leaf(value, needs=True):
+    """A graph input; `needs=False` when no caller reads its gradient."""
+    return Var(np.asarray(value), needs=needs)
 
 
 def _topo_order(root):
@@ -43,15 +58,16 @@ def _topo_order(root):
         visited.add(id(node))
         stack.append((node, True))
         for parent in node.parents:
-            stack.append((parent, False))
+            if parent.needs:
+                stack.append((parent, False))
     return order
 
 
 def backward(root):
-    """Accumulate gradients of `root` (a scalar) into every reachable Var.
+    """Accumulate gradients of `root` (a scalar) into every reachable Var that needs one.
 
-    Visits each node exactly once, children before parents; accumulation order
-    is fixed by the construction order of the graph.
+    Visits each such node exactly once, children before parents; accumulation
+    order is fixed by the construction order of the graph.
     """
     if np.shape(root.value) != ():
         raise ValueError("backward expects a scalar root")
@@ -63,7 +79,7 @@ def backward(root):
         if node.grad is None or node.vjp is None:
             continue
         for parent, g in zip(node.parents, node.vjp(node.grad)):
-            if g is None:
+            if g is None or not parent.needs:
                 continue
             if parent.grad is None:
                 parent.grad = g
@@ -87,7 +103,8 @@ def add(a, b):
     val = a.value + b.value
 
     def vjp(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)
+        return (_unbroadcast(g, a.value.shape) if a.needs else None,
+                _unbroadcast(g, b.value.shape) if b.needs else None)
 
     return Var(val, (a, b), vjp)
 
@@ -109,7 +126,7 @@ def matmul(x, w):
     val = x.value @ w.value
 
     def vjp(g):
-        return g @ w.value.T, x.value.T @ g
+        return g @ w.value.T if x.needs else None, x.value.T @ g if w.needs else None
 
     return Var(val, (x, w), vjp)
 
@@ -184,9 +201,9 @@ def conv2d(x, w, bias):
     def vjp(g):
         b = g.shape[0]
         gm = g.reshape(b, outc, oh * ow).transpose(0, 2, 1)  # [b, oh*ow, outc]
-        grad_w = np.einsum("bpo,bpk->ok", gm, cols).reshape(w.value.shape)
-        grad_b = g.sum(axis=(0, 2, 3))
-        grad_x = _col2im(gm @ w_mat, x.value.shape, kh, kw)
+        grad_w = np.einsum("bpo,bpk->ok", gm, cols).reshape(w.value.shape) if w.needs else None
+        grad_b = g.sum(axis=(0, 2, 3)) if bias.needs else None
+        grad_x = _col2im(gm @ w_mat, x.value.shape, kh, kw) if x.needs else None
         return grad_x, grad_w, grad_b
 
     return Var(val, (x, w, bias), vjp)
@@ -195,26 +212,25 @@ def conv2d(x, w, bias):
 def maxpool2(x):
     """2x2 max-pool, stride 2; odd trailing rows/columns are dropped.
 
-    Ties route the gradient to the first maximal element of the window.
+    Ties keep the first maximal element of the window and route the gradient
+    to it alone (see the module docstring).
     """
-    b, c, h, w = x.value.shape
-    oh, ow = h // 2, w // 2
-    win = (
-        x.value[:, :, : oh * 2, : ow * 2]
-        .reshape(b, c, oh, 2, ow, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(b, c, oh, ow, 4)
-    )
-    idx = win.argmax(axis=-1)
-    val = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    v = x.value
+    oh, ow = v.shape[2] // 2, v.shape[3] // 2
+    # one slice per window element, in argmax's row-major order
+    quads = [np.s_[:, :, i : 2 * oh : 2, j : 2 * ow : 2] for i in (0, 1) for j in (0, 1)]
+    # beats[k]: window element k is above the maximum of the elements before it
+    val, beats = v[quads[0]], [True]
+    for q in quads[1:]:
+        beats.append(v[q] > val)
+        val = np.where(beats[-1], v[q], val)
 
     def vjp(g):
-        gwin = np.zeros_like(win)
-        np.put_along_axis(gwin, idx[..., None], g[..., None], axis=-1)
-        gx = np.zeros_like(x.value)
-        gx[:, :, : oh * 2, : ow * 2] = (
-            gwin.reshape(b, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, oh * 2, ow * 2)
-        )
+        gx = np.zeros_like(v)
+        later = np.zeros(val.shape, dtype=bool)  # a later element of the window won
+        for q, beat in zip(reversed(quads), reversed(beats)):
+            gx[q] = np.where(beat & ~later, g, 0)
+            later |= beat
         return (gx,)
 
     return Var(val, (x,), vjp)

@@ -8,7 +8,8 @@ first file is written into it, so a command that fails its checks leaves none.
 Exit codes are contract values: 0 ok, 2 invalid config or dataset, 3 training
 divergence, 4 numerical failure while crafting, 5 missing or corrupt artifact or
 sidecar, including a payload that tensor.load_artifact finds does not match its
-sidecar; `verify` prints MISMATCH and exits 1 for that case alone.
+sidecar (`verify` prints MISMATCH and exits 1 for that case alone), 6 an output
+file that cannot be written.
 """
 
 import argparse
@@ -23,10 +24,12 @@ from . import config as C
 from . import data as D
 from . import evaluate as E
 from . import models as M
-from .errors import ArtifactMissing, ConfigError, CraftingFailed, TrainingDiverged
+from .errors import ArtifactMissing, ConfigError, CraftingFailed, OutputNotWritable, TrainingDiverged
 from .tensor import ContentMismatch, TensorFormatError, content_hash, load_artifact, write_atomic
 
-EXIT_CODES = {ConfigError: 2, TrainingDiverged: 3, CraftingFailed: 4, ArtifactMissing: 5, TensorFormatError: 5}
+EXIT_CODES = {
+    ConfigError: 2, TrainingDiverged: 3, CraftingFailed: 4, ArtifactMissing: 5, TensorFormatError: 5, OutputNotWritable: 6,
+}
 
 ABLATE_AXES = ("rho", "r", "order", "curriculum")
 

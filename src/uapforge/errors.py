@@ -15,3 +15,7 @@ class CraftingFailed(RuntimeError):
 
 class ArtifactMissing(FileNotFoundError):
     """A file the program reads is missing or unreadable (exit code 5; a config or IDX file maps it to ConfigError)."""
+
+
+class OutputNotWritable(OSError):
+    """A file the program writes cannot be written, or its directory made (exit code 6)."""

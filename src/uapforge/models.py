@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Var
 from .data import minibatches
 from .errors import TrainingDiverged
 from .tensor import TensorFormatError, array_fingerprint, load_artifact, require_finite, save_artifact
@@ -166,7 +165,8 @@ class AttackTarget:
 
     A subclass supplies `_check_input` (cast and validate a batch), `logits`
     and `_cross_entropy` (the loss Var of an input Var plus the parameter
-    nodes it used, in `flat_params` order).
+    leaves it used, in `flat_params` order, each needing a gradient when
+    asked to).
     """
 
     def predict(self, X):
@@ -193,7 +193,7 @@ class AttackTarget:
             raise ValueError(f"unsupported wrt target {wrt!r}")
         if wrt == "perturbation" and delta is None:
             raise ValueError("no perturbation in this graph; pass delta")
-        loss_var, x_var, pvars = self._loss_graph(X, Y, delta=delta, reduction=reduction)
+        loss_var, x_var, pvars = self._loss_graph(X, Y, delta=delta, reduction=reduction, wrt=wrt)
         loss = float(loss_var.value)
         if not np.isfinite(loss):
             raise ValueError("non-finite loss")
@@ -210,12 +210,14 @@ class AttackTarget:
         require_finite(grad, "gradient")
         return loss, grad
 
-    def _loss_graph(self, X, Y, delta=None, reduction="mean"):
+    def _loss_graph(self, X, Y, delta=None, reduction="mean", wrt=None):
         """(loss Var, input leaf, parameter leaves) of one batch.
 
         A perturbation of one sample's shape is cast to the batch's dtype and
         added to every sample before the input leaf is made, so the leaf
-        holds X + delta.
+        holds X + delta. Only the leaves that `wrt` reads need a gradient:
+        the input leaf for "input" and "perturbation", the parameter leaves
+        for "parameters", none for None.
         """
         X = self._check_input(X)
         Y = np.asarray(Y)
@@ -226,8 +228,8 @@ class AttackTarget:
             if delta.shape != X.shape[1:]:
                 raise ValueError(f"perturbation shape {delta.shape} != sample shape {X.shape[1:]}")
             X = X + delta
-        x_var = ad.leaf(X)
-        loss_var, pvars = self._cross_entropy(x_var, Y, reduction)
+        x_var = ad.leaf(X, needs=wrt in ("input", "perturbation"))
+        loss_var, pvars = self._cross_entropy(x_var, Y, reduction, params_need=wrt == "parameters")
         return loss_var, x_var, pvars
 
 
@@ -266,7 +268,7 @@ class ModelState(AttackTarget):
 
     def logits(self, X):
         X = self._check_input(X)
-        return self._forward(ad.leaf(X), self._param_vars()).value
+        return self._forward(ad.leaf(X, needs=False), self._param_vars(False)).value
 
     # -- graph construction ---------------------------------------------
 
@@ -277,9 +279,9 @@ class ModelState(AttackTarget):
         require_finite(X, "model input")
         return X
 
-    def _param_vars(self):
+    def _param_vars(self, needs):
         layout, _ = _param_layout(self.spec)
-        return [Var(self.params[o : o + int(np.prod(s))].reshape(s)) for o, s, _ in layout]
+        return [ad.leaf(self.params[o : o + int(np.prod(s))].reshape(s), needs=needs) for o, s, _ in layout]
 
     def _forward(self, x_var, pvars):
         h = x_var
@@ -301,8 +303,8 @@ class ModelState(AttackTarget):
                 h = ad.normalize(h, layer.mean, layer.std)
         return h
 
-    def _cross_entropy(self, inp, Y, reduction):
-        pvars = self._param_vars()
+    def _cross_entropy(self, inp, Y, reduction, params_need):
+        pvars = self._param_vars(params_need)
         return ad.softmax_cross_entropy(self._forward(inp, pvars), Y, reduction=reduction), pvars
 
 
@@ -413,10 +415,10 @@ class Ensemble(AttackTarget):
     def _check_input(self, X):
         return self.models[0]._check_input(X)
 
-    def _cross_entropy(self, inp, Y, reduction):
+    def _cross_entropy(self, inp, Y, reduction, params_need):
         terms, pvars = [], []
         for m in self.models:
-            term, member_pvars = m._cross_entropy(inp, Y, reduction)
+            term, member_pvars = m._cross_entropy(inp, Y, reduction, params_need)
             terms.append(term)
             pvars += member_pvars
         return ad.add_scalars(terms, [1.0 / len(terms)] * len(terms)), pvars

@@ -3,7 +3,8 @@
 Tensors are plain numpy arrays (row-major, float32 or float64). This module alone
 opens files: `read_file` reads every input (config, IDX data, artifacts, sidecars),
 `read_json_object` parses the config file and every sidecar, and `write_atomic`
-writes every output, making its directory first. An artifact, a delta or a model
+writes every output, making its directory first. A file that cannot be read raises
+ArtifactMissing, one that cannot be written OutputNotWritable. An artifact, a delta or a model
 checkpoint, is a UAPT container at <path>, a JSON sidecar at <path>.json and an
 optional <path>.log.csv. `load_artifact` alone checks a payload against its
 sidecar: a delta's `content_hash`, a checkpoint's `params_fingerprint`.
@@ -17,7 +18,7 @@ import struct
 
 import numpy as np
 
-from .errors import ArtifactMissing
+from .errors import ArtifactMissing, OutputNotWritable
 
 MAGIC = b"UAPT"
 FORMAT_VERSION = 1
@@ -74,13 +75,15 @@ def array_fingerprint(*parts):
 
 def write_atomic(path, data):
     """Make the missing directories above `path`, then write through a temp file beside it and a rename,
-    so `path` never holds a partial file."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    so `path` never holds a partial file; raises OutputNotWritable, naming the path last, if that fails."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         with open(tmp, "wb") as f:
             f.write(data)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise OutputNotWritable(f"file not writable ({exc.strerror or exc}): {path}") from None
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from uapforge import autodiff as ad
 from uapforge import models as M
@@ -170,11 +173,89 @@ def test_maxpool_tie_routes_to_first():
     assert parents_grad[0, 0, 0, 1] == 0 and parents_grad[0, 0, 1, 0] == 0 and parents_grad[0, 0, 1, 1] == 0
 
 
+def argmax_maxpool2(x):
+    """Reference 2x2 max-pool through argmax over a transposed window copy: (value, input-gradient function)."""
+    b, c, h, w = x.shape
+    oh, ow = h // 2, w // 2
+    win = x[:, :, : oh * 2, : ow * 2].reshape(b, c, oh, 2, ow, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, oh, ow, 4)
+    idx = win.argmax(axis=-1)
+    val = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+
+    def grad(g):
+        gwin = np.zeros_like(win)
+        np.put_along_axis(gwin, idx[..., None], g[..., None], axis=-1)
+        gx = np.zeros_like(x)
+        gx[:, :, : oh * 2, : ow * 2] = (
+            gwin.reshape(b, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, oh * 2, ow * 2)
+        )
+        return gx
+
+    return val, grad
+
+
+# few distinct values, so windows hold ties and mixed 0.0 / -0.0 maxima
+POOL_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_maxpool_bytes_match_argmax_reference(data):
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    shape = tuple(data.draw(st.integers(lo, hi)) for lo, hi in ((1, 3), (1, 3), (2, 7), (2, 7)))
+    x = data.draw(arrays(dtype, shape, elements=POOL_VALUES, fill=st.nothing()))
+    want_val, want_grad = argmax_maxpool2(x)
+    out = ad.maxpool2(ad.leaf(x))
+    assert out.value.tobytes() == want_val.tobytes()
+    g = data.draw(arrays(dtype, want_val.shape, elements=POOL_VALUES, fill=st.nothing()))
+    (gx,) = out.vjp(g)
+    assert gx.dtype == x.dtype and gx.shape == x.shape
+    assert gx.tobytes() == want_grad(g).tobytes()
+
+
 def test_maxpool_drops_odd_edge():
     x = np.arange(25.0).reshape(1, 1, 5, 5)
     out = ad.maxpool2(ad.leaf(x))
     assert out.value.shape == (1, 1, 2, 2)
     assert out.value[0, 0, 1, 1] == 18.0  # window rows 2..3, cols 2..3
+
+
+# -- gradient pruning ---------------------------------------------------------
+
+
+def test_vjps_return_none_for_parents_that_need_no_gradient():
+    rng = np.random.default_rng(23)
+    x = ad.leaf(rng.normal(size=(2, 1, 5, 5)))
+    w, b = ad.leaf(rng.normal(size=(2, 1, 3, 3)), needs=False), ad.leaf(rng.normal(size=2), needs=False)
+    out = ad.conv2d(x, w, b)
+    assert out.needs
+    grad_x, grad_w, grad_b = out.vjp(np.ones_like(out.value))
+    assert grad_x.shape == x.value.shape and grad_w is None and grad_b is None
+
+    frozen = ad.conv2d(ad.leaf(x.value, needs=False), ad.leaf(w.value), b)
+    grad_x, grad_w, grad_b = frozen.vjp(np.ones_like(frozen.value))
+    assert grad_x is None and grad_w.shape == w.value.shape and grad_b is None
+
+    h = ad.matmul(ad.leaf(rng.normal(size=(2, 4)), needs=False), ad.leaf(rng.normal(size=(4, 3))))
+    assert h.vjp(np.ones((2, 3)))[0] is None
+    s = ad.add(h, ad.leaf(np.zeros(3), needs=False))
+    assert s.vjp(np.ones((2, 3)))[1] is None
+
+
+def test_backward_leaves_unneeded_leaves_without_gradient():
+    rng = np.random.default_rng(29)
+    x, w = ad.leaf(rng.normal(size=(3, 4))), ad.leaf(rng.normal(size=(4, 2)), needs=False)
+    full_x, full_w = ad.leaf(x.value), ad.leaf(w.value)
+    labels = np.array([0, 1, 1])
+    ad.backward(ad.softmax_cross_entropy(ad.relu(ad.matmul(x, w)), labels))
+    ad.backward(ad.softmax_cross_entropy(ad.relu(ad.matmul(full_x, full_w)), labels))
+    assert w.grad is None
+    assert x.grad.tobytes() == full_x.grad.tobytes()
+
+    frozen = ad.leaf(x.value, needs=False)
+    loss = ad.softmax_cross_entropy(ad.matmul(frozen, w), labels)
+    assert not loss.needs
+    ad.backward(loss)
+    assert frozen.grad is None and w.grad is None
 
 
 # -- structural properties -------------------------------------------------

@@ -313,6 +313,17 @@ def test_train_writes_explicit_checkpoint_into_a_missing_directory(workdir, caps
     assert not (workdir / "out").exists()
 
 
+def test_output_directory_that_is_a_file_exits_6(workdir, capsys):
+    (workdir / "taken.json").write_text("{}")
+    made = sorted(workdir.rglob("*"))
+    argv = ["--config", "run.json", "--set", 'output.directory="taken.json"', "train"]
+    assert cli.main(argv) == 6
+    err = capsys.readouterr().err
+    path = os.path.join("taken.json", "checkpoints", "mlp-s0.uapt")
+    assert err == f"error: file not writable (Not a directory): {path}\n"
+    assert sorted(workdir.rglob("*")) == made
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exits_3(workdir):
     rc = cli.main(["--config", "run.json", "--set", "model.train.lr=1e12", "train"])
@@ -544,11 +555,11 @@ def test_craft_writes_the_payload_once(workdir, monkeypatch):
 def test_craft_failing_before_sidecar_is_never_verified_ok(workdir, capsys, fail_writes):
     assert cli.main(["--config", "run.json", "train"]) == 0
     fail_writes(".uapt.json")
-    with pytest.raises(OSError):
-        cli.main(["--config", "run.json", "craft"])
-    (delta,) = delta_paths(workdir)  # the payload was written before the sidecar
-    assert not list(delta.parent.glob("*.tmp"))
     capsys.readouterr()
+    assert cli.main(["--config", "run.json", "craft"]) == 6
+    (delta,) = delta_paths(workdir)  # the payload was written before the sidecar
+    assert capsys.readouterr().err == f"error: file not writable (No space left on device): out/deltas/{delta.name}.json\n"
+    assert not list(delta.parent.glob("*.tmp"))
     assert cli.main(["verify", str(delta)]) == 5
     assert "OK" not in capsys.readouterr().out
 

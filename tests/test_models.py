@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from uapforge import autodiff as ad
 from uapforge import data as D
 from uapforge import models as M
 from uapforge.tensor import array_fingerprint, content_hash
@@ -299,6 +300,61 @@ def test_perturbation_must_have_one_samples_shape():
             m.loss_grad(X, Y, "perturbation", delta=bad)
         with pytest.raises(ValueError, match="perturbation shape"):
             m.loss(X, Y, delta=bad)
+
+
+# -- gradient pruning ----------------------------------------------------------------
+
+
+def _pruning_targets(dtype):
+    shape = (2, 13, 11)  # odd sizes: both max-pools drop a trailing row or column
+    cnn = M.make_architecture("cnn_small", shape, 4, hidden=8)
+    mlp = M.make_architecture("mlp", shape, 4, hidden=8)
+    return shape, {
+        "cnn_small": M.build_model(cnn, shape, seed=1, dtype=dtype),
+        "mlp": M.build_model(mlp, shape, seed=2, dtype=dtype),
+        "ensemble": M.Ensemble((M.build_model(cnn, shape, seed=3, dtype=dtype), M.build_model(mlp, shape, seed=4, dtype=dtype))),
+    }
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", ["cnn_small", "mlp", "ensemble"])
+def test_pruned_loss_grad_matches_the_full_tape(dtype, name):
+    shape, targets = _pruning_targets(dtype)
+    target = targets[name]
+    rng = np.random.default_rng(41)
+    X = np.round(rng.uniform(0, 1, (6,) + shape) * 4) / 4  # ties in the max-pool windows
+    Y = rng.integers(0, 4, 6)
+    delta = rng.uniform(-0.1, 0.1, shape)
+    # every leaf needs a gradient: the tape as it ran before pruning
+    x_var = ad.leaf(target._check_input(X) + delta.astype(dtype))
+    loss_var, pvars = target._cross_entropy(x_var, Y, "mean", params_need=True)
+    ad.backward(loss_var)
+    full = {
+        "parameters": np.concatenate([p.grad.reshape(-1) for p in pvars]),
+        "input": x_var.grad,
+        "perturbation": x_var.grad.sum(axis=0),
+    }
+    for wrt, want in full.items():
+        loss, grad = target.loss_grad(X, Y, wrt, delta=delta)
+        assert np.float64(loss).tobytes() == np.float64(float(loss_var.value)).tobytes()
+        assert grad.dtype == want.dtype and grad.shape == want.shape
+        assert grad.tobytes() == want.tobytes(), wrt
+
+
+@pytest.mark.parametrize("name", ["cnn_small", "ensemble"])
+def test_loss_graph_marks_only_the_leaves_wrt_reads(name):
+    shape, targets = _pruning_targets(np.float64)
+    target = targets[name]
+    rng = np.random.default_rng(43)
+    X, Y, delta = rng.uniform(0, 1, (3,) + shape), rng.integers(0, 4, 3), rng.uniform(-0.1, 0.1, shape)
+    for wrt, input_needs in (("input", True), ("perturbation", True), ("parameters", False)):
+        loss_var, x_var, pvars = target._loss_graph(X, Y, delta=delta, wrt=wrt)
+        ad.backward(loss_var)
+        assert (x_var.grad is not None) == input_needs, wrt
+        assert all((p.grad is None) == input_needs for p in pvars), wrt
+    # loss, logits and predict mark nothing
+    loss_var, x_var, pvars = target._loss_graph(X, Y, delta=delta)
+    assert not loss_var.needs and not x_var.needs and not any(p.needs for p in pvars)
 
 
 # -- ensembles ------------------------------------------------------------------

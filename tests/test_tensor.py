@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uapforge import tensor as T
-from uapforge.errors import ArtifactMissing
+from uapforge.errors import ArtifactMissing, OutputNotWritable
 
 
 @pytest.mark.parametrize("dtype,shape", [
@@ -157,6 +157,19 @@ def test_write_atomic_makes_the_missing_directories(tmp_path):
     T.write_atomic(path, b"x\n")
     assert T.read_file(path) == b"x\n"
     assert list((tmp_path / "a" / "b").iterdir()) == [path]
+
+
+def test_write_atomic_maps_every_os_error_to_output_not_writable(tmp_path, fail_writes):
+    (tmp_path / "plain").write_text("x")
+    path = str(tmp_path / "plain" / "sub" / "r.csv")
+    with pytest.raises(OutputNotWritable, match=r"^file not writable \(Not a directory\): " + re.escape(path) + "$") as info:
+        T.write_atomic(path, b"x\n")
+    assert not isinstance(info.value, FileNotFoundError)  # exit code 5 is for inputs that cannot be read
+    fail_writes("r.csv")
+    path = str(tmp_path / "r.csv")
+    with pytest.raises(OutputNotWritable, match=r"\(No space left on device\): " + re.escape(path) + "$"):
+        T.write_atomic(path, b"x\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain"]  # the temp file is removed
 
 
 def test_failed_payload_write_leaves_no_file(tmp_path, fail_writes):
