@@ -5,7 +5,8 @@ variables use the UAPFORGE_ prefix with double underscores between nesting
 levels (UAPFORGE_ATTACK__EPSILON=0.05); --set flags use dotted paths
 (attack.epsilon=0.05). Values are parsed as JSON where possible. Every
 source merges the same way: an object merges into an object key by key, and a
-value keeps its default's JSON kind (a number also takes an integer). A key
+value keeps its default's JSON kind (a number also takes an integer, and never
+NaN or an infinity, which Python's JSON parser accepts). A key
 whose default is null takes null or the kind NULL_KINDS gives it, and an
 array's elements take the kind ELEMENT_KINDS gives them. The config file is
 read by tensor.read_json_object, so a file that cannot be read or holds no
@@ -14,6 +15,7 @@ JSON object is a ConfigError like any other bad value.
 
 import copy
 import json
+import math
 import os
 from dataclasses import asdict
 
@@ -96,6 +98,8 @@ def _merge(cfg, update, defaults, path=""):
         if (default is not None or value is not None) and type(value) not in _KINDS.get(kind, (kind,)):
             null = "" if default is not None else "null or "
             raise ConfigError(f"config key {here} takes {null}{_KIND_NAMES[kind]}, got {json.dumps(value)}")
+        if type(value) is float and not math.isfinite(value):
+            raise ConfigError(f"config key {here} takes a finite number, got {json.dumps(value)}")
         if isinstance(default, dict):
             _merge(cfg[key], value, default, here)
             continue

@@ -26,7 +26,7 @@ class Dataset:
 
     def __post_init__(self):
         lo, hi = float(self.images.min()), float(self.images.max())
-        if lo < 0.0 or hi > 1.0:
+        if not (lo >= 0.0 and hi <= 1.0):  # written so that NaN fails it
             raise ValueError(f"image values outside [0, 1]: min {lo}, max {hi}")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -65,18 +65,18 @@ def _read_idx(path, magic, fields):
     return values, np.frombuffer(blob, dtype=np.uint8, offset=offset)
 
 
-def load_idx(images_path, labels_path, name="", dtype=np.float32):
+def load_idx(images_path, labels_path):
     """Load an IDX image/label file pair, scaling pixel bytes to [0, 1]."""
     (n, rows, cols), pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, 3)
     if len(pixels) != n * rows * cols:
         raise ValueError(f"truncated image data in {images_path}: {len(pixels)} bytes, expected {n * rows * cols}")
-    images = pixels.reshape(n, 1, rows, cols).astype(dtype) / 255.0
+    images = pixels.reshape(n, 1, rows, cols).astype(np.float32) / 255.0
     (n_labels,), labels = _read_idx(labels_path, IDX_LABEL_MAGIC, 1)
     if n_labels != n:
         raise ValueError(f"count mismatch: {n} images vs {n_labels} labels")
     if len(labels) != n_labels:
         raise ValueError(f"truncated label data in {labels_path}")
-    return Dataset(images=images, labels=labels.astype(np.int64), name=name or "idx")
+    return Dataset(images=images, labels=labels.astype(np.int64), name="idx")
 
 
 def save_idx(dataset, images_path, labels_path):
@@ -92,7 +92,7 @@ def save_idx(dataset, images_path, labels_path):
     write_atomic(labels_path, struct.pack(">II", IDX_LABEL_MAGIC, n) + dataset.labels.astype(np.uint8).tobytes())
 
 
-def synth_blobs(num_classes, n, shape, spread, seed=0, modes=1, dtype=np.float32):
+def synth_blobs(num_classes, n, shape, spread, seed=0, modes=1):
     """Gaussian clusters around seeded per-class centers, clipped to [0, 1].
 
     `shape` is either an int (flat feature vectors) or a (C, H, W) tuple.
@@ -118,7 +118,7 @@ def synth_blobs(num_classes, n, shape, spread, seed=0, modes=1, dtype=np.float32
         images.append(np.clip(pts, 0.0, 1.0))
         labels.append(np.full(count, cls, dtype=np.int64))
     return Dataset(
-        images=np.concatenate(images).astype(dtype),
+        images=np.concatenate(images).astype(np.float32),
         labels=np.concatenate(labels),
         name=f"blobs-k{num_classes}-n{n}-m{modes}-s{seed}",
     )

@@ -6,7 +6,7 @@ class ConfigError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """ERM training hit a non-finite loss (exit code 3)."""
+    """ERM training hit a non-finite loss, gradient or parameter (exit code 3)."""
 
 
 class CraftingFailed(RuntimeError):

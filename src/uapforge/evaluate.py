@@ -7,7 +7,6 @@ accuracy and perturbed accuracy are carried as auxiliary fields only.
 """
 
 import json
-import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -40,7 +39,7 @@ class TransferMatrix:
     reports: list = field(default_factory=list)
 
 
-def fooling_ratio(model, dataset, delta, model_id="", surrogate="", epsilon=None, chunk=512):
+def fooling_ratio(model, dataset, delta, model_id="", surrogate="", chunk=512):
     """Fraction of samples whose prediction changes under clip(x + delta).
 
     The denominator is every evaluated sample regardless of clean
@@ -51,8 +50,6 @@ def fooling_ratio(model, dataset, delta, model_id="", surrogate="", epsilon=None
     for what, shape in (("delta", delta.shape), ("model input", model.input_shape)):
         if shape != dataset.sample_shape:
             raise ConfigError(f"{what} shape {shape} != sample shape {dataset.sample_shape}")
-    if epsilon is not None and float(np.abs(delta).max()) > epsilon:
-        warnings.warn(f"delta exceeds the recorded budget {epsilon}", stacklevel=2)
     X = dataset.images
     n = X.shape[0]
     n_changed = 0

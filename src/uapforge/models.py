@@ -355,9 +355,10 @@ def train_erm(model, dataset, epochs, lr, batch, seed=0):
         for b in minibatches(dataset, batch, epoch_seed=seed ^ epoch):
             try:
                 loss, grad = trained.loss_grad(b.X, b.Y, "parameters")
+                params = require_finite(trained.params - lr * grad, "parameters")
             except ValueError as exc:
                 raise TrainingDiverged(f"training diverged at epoch {epoch + 1}: {exc}") from exc
-            trained = trained.with_params(trained.params - lr * grad)
+            trained = trained.with_params(params)
             losses.append(loss)
         acc = float(np.mean(trained.predict(X) == Y))
         history.append({"epoch": epoch + 1, "loss": float(np.mean(losses)), "accuracy": acc})

@@ -82,8 +82,8 @@ def write_atomic(path, data):
         with open(tmp, "wb") as f:
             f.write(data)
         os.replace(tmp, path)
-    except OSError as exc:
-        raise OutputNotWritable(f"file not writable ({exc.strerror or exc}): {path}") from None
+    except (OSError, ValueError) as exc:  # ValueError: a path holding a NUL byte
+        raise OutputNotWritable(f"file not writable ({getattr(exc, 'strerror', None) or exc}): {path}") from None
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -94,8 +94,9 @@ def read_file(path):
     try:
         with open(path, "rb") as f:
             return f.read()
-    except OSError as exc:
-        reason = "not found" if isinstance(exc, FileNotFoundError) else f"not readable ({exc.strerror})"
+    except (OSError, ValueError) as exc:  # ValueError: a path holding a NUL byte
+        why = getattr(exc, "strerror", None) or exc
+        reason = "not found" if isinstance(exc, FileNotFoundError) else f"not readable ({why})"
         raise ArtifactMissing(f"file {reason}: {path}") from None
 
 

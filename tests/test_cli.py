@@ -1,13 +1,19 @@
 """End-to-end CLI runs: exit codes, artifacts on disk, determinism, overrides."""
 
+import contextlib
+import io
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uapforge import cli
 from uapforge import config as C
+from uapforge import models as M
 from uapforge import tensor as T
 from uapforge.errors import ConfigError
 
@@ -87,7 +93,7 @@ def test_flag_beats_env(tmp_path):
 def test_env_override_reaches_cli(workdir, monkeypatch):
     monkeypatch.setenv("UAPFORGE_MODEL__TRAIN__EPOCHS", "1")
     assert cli.main(["--config", "run.json", "train"]) == 0
-    _, meta = __import__("uapforge").load_checkpoint("out/checkpoints/mlp-s0.uapt")
+    _, meta = M.load_checkpoint("out/checkpoints/mlp-s0.uapt")
     assert meta["train_config"]["epochs"] == 1
 
 
@@ -147,6 +153,15 @@ OVERRIDES = {
     # a null-default key is kind-checked where it is merged, also by a command that does not read it
     "set-ablate-axis-number-train": ("set", "ablate.axis", 5, "train", 2),
     "env-labels-number-train": ("env", "dataset.labels", 5, "train", 2),
+    # Python's JSON parser reads NaN and Infinity; a number must be finite
+    "set-spread-nan": ("set", "dataset.spread", float("nan"), "train", 2),
+    "env-lr-infinity": ("env", "model.train.lr", float("inf"), "train", 2),
+    "set-epsilon-nan-craft": ("set", "attack.epsilon", float("nan"), "craft", 2),
+    "file-epsilon-infinity-craft": ("file", "attack.epsilon", float("inf"), "craft", 2),
+    "set-gamma-infinity-craft": ("set", "attack.gamma", float("inf"), "craft", 2),
+    "env-rho-nan-craft": ("env", "attack.rho", float("nan"), "craft", 2),
+    "file-r-nan-craft": ("file", "attack.r", float("nan"), "craft", 2),
+    "set-sweep-rho-nan": ("set", "ablate", {"axis": "rho", "values": [1.0, float("nan")]}, "ablate", 2),
 }
 
 
@@ -172,7 +187,7 @@ def test_overrides_merge_or_exit_2(workdir, capsys, monkeypatch, where, dotted, 
         assert err.count("error:") == 1 and err.count("\n") == 1, err
         assert not (workdir / "out").exists()
     else:
-        _, meta = __import__("uapforge").load_checkpoint("out/checkpoints/mlp-s0.uapt")
+        _, meta = M.load_checkpoint("out/checkpoints/mlp-s0.uapt")
         assert meta["train_config"] == {"epochs": 1, "lr": 0.3, "batch": 30, "seed": 0}
 
 
@@ -328,6 +343,42 @@ def test_output_directory_that_is_a_file_exits_6(workdir, capsys):
 def test_train_divergence_exits_3(workdir):
     rc = cli.main(["--config", "run.json", "--set", "model.train.lr=1e12", "train"])
     assert rc == 3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_whose_only_step_diverges_exits_3(workdir, capsys):
+    # one epoch of one batch: the step itself leaves non-finite parameters, and no checkpoint is written
+    argv = ["--config", "run.json", "--set", 'dataset={"n": 40, "subset_size": null}',
+            "--set", 'model.train={"epochs": 1, "batch": 64, "lr": 1e308}', "train"]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == "error: training diverged at epoch 1: non-finite values in parameters\n"
+    assert not (workdir / "out").exists()
+
+
+# a path holding a NUL byte cannot be opened: it exits with the contract code of the file it names
+NUL_PATHS = {
+    "config": (["--config", "a\x00b.json", "train"], 2),
+    "idx-images": (["--config", "run.json", "--set", "dataset.source=idx", "--set", 'dataset.images="a\\u0000b"',
+                    "--set", "dataset.labels=run.json", "train"], 2),
+    "verify": (["verify", "a\x00b.uapt"], 5),
+    "craft-checkpoint": (["--config", "run.json", "--set", 'model.checkpoint="a\\u0000b.uapt"', "craft"], 5),
+    "eval-delta": (["--config", "run.json", "--set", 'eval.deltas=["a\\u0000b.uapt"]', "eval"], 5),
+    "train-output-directory": (["--config", "run.json", "--set", 'output.directory="a\\u0000b"', "train"], 6),
+    "train-checkpoint": (["--config", "run.json", "--set", 'model.checkpoint="a\\u0000b.uapt"', "train"], 6),
+}
+
+
+@pytest.mark.parametrize("argv,code", NUL_PATHS.values(), ids=NUL_PATHS.keys())
+def test_path_with_nul_byte_exits_with_contract_code(workdir, capsys, argv, code):
+    assert cli.main(["--config", "run.json", "train"]) == 0
+    made = sorted(workdir.rglob("*"))
+    capsys.readouterr()
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert "a\x00b" in captured.err
+    assert sorted(workdir.rglob("*")) == made
 
 
 def test_craft_without_checkpoint_exits_5(workdir):
@@ -580,3 +631,95 @@ def test_ablate_requires_single_known_axis(workdir):
     rc = cli.main(["--config", "run.json", "--set", "ablate.axis=epsilon",
                    "ablate", "--values", "[0.1]"])
     assert rc == 2
+
+
+# -- the exit-code contract over any config -----------------------------------------------
+
+
+def _dotted_keys(tree, prefix=""):
+    for key, value in tree.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _dotted_keys(value, f"{prefix}{key}.")
+
+
+_KEYS = sorted(_dotted_keys(C.DEFAULTS))
+# small sizes throughout: values whose arrays cannot fit in memory are outside the contract. No drawn
+# string holds a "/", so a path written by `train` lands inside the example's directory or its parent.
+_STRINGS = st.text("ab.-\x00", max_size=4) | st.sampled_from(["idx", "synth", "mlp", "cnn_small", "csv", "rho"])
+_SCALARS = {bool: st.booleans(), int: st.integers(-2, 12), float: st.floats(), str: _STRINGS}
+_VALUES = st.recursive(
+    st.none() | st.one_of(*_SCALARS.values()),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(sorted({key.rsplit(".", 1)[-1] for key in _KEYS} | {"zz"})), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _of_its_kind(key):
+    """Values of the kind `key` takes, so that a draw also reaches the checks after the merge."""
+    if key not in _KEYS:
+        return _VALUES
+    node = C.DEFAULTS
+    for part in key.split("."):
+        node = node[part]
+    kind = type(node) if node is not None else C.NULL_KINDS[key]
+    if kind is list:
+        return st.lists(_SCALARS[C.ELEMENT_KINDS.get(key, (float,))[0]], max_size=3)
+    return _SCALARS.get(kind, _VALUES)
+
+
+# (where the value goes, dotted key, value): a key is the schema's or an unknown one, and its value
+# JSON of any kind or of the key's own kind
+_OVERRIDES = st.lists(st.tuples(
+    st.sampled_from(["set", "env", "file"]),
+    st.sampled_from(_KEYS + ["zz", "a_b", "attack.zz", "dataset.n.zz", "model.train.zz.zz"]).flatmap(
+        lambda key: st.tuples(st.just(key), _VALUES | _of_its_kind(key))),
+).map(lambda o: (o[0], *o[1])), max_size=4)
+_TINY = ['dataset={"n": 24, "shape": [1, 4, 4], "num_classes": 2, "subset_size": null}',
+         'model={"arch": "mlp", "hidden": 4, "train": {"batch": 8}}']
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=120, deadline=None)
+@given(
+    overrides=_OVERRIDES,
+    command=st.sampled_from(["train", "verify"]),
+    epochs=st.integers(0, 1),
+    paths=st.lists(st.sampled_from(["ok.uapt", "missing.uapt", "a\x00b.uapt", "."]), min_size=1, max_size=2),
+)
+def test_any_config_exits_with_a_contract_code(tmp_path_factory, overrides, command, epochs, paths):
+    # the tiny run's settings come first, so a drawn --set overrides them and a drawn file or env value
+    # is merged and checked but then overridden
+    sets = [f"--set={item}" for item in _TINY] + [f"--set=model.train.epochs={epochs}"]
+    env, document = {}, {}
+    for where, key, value in overrides:
+        if where == "set":
+            sets.append(f"--set={key}={json.dumps(value)}")
+        elif where == "env":
+            env["UAPFORGE_" + key.upper().replace(".", "__")] = json.dumps(value)
+        else:
+            *parents, last = key.split(".")
+            node = document
+            for part in parents:
+                if not isinstance(node.get(part), dict):
+                    node[part] = {}
+                node = node[part]
+            node[last] = value
+    work = tmp_path_factory.mktemp("contract") / "work"
+    work.mkdir()
+    (work / "run.json").write_text(json.dumps(document))
+    delta = np.zeros(3, dtype=np.float32)
+    T.save_artifact(str(work / "ok.uapt"), delta, {"content_hash": T.content_hash(delta)})
+    argv = ["--config", "run.json", *sets, command, *(paths if command == "verify" else [])]
+    err = io.StringIO()
+    cwd = os.getcwd()
+    try:
+        os.chdir(work)
+        with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in {0, 1, *cli.EXIT_CODES.values()}
+    assert (code >= 2) == err.getvalue().startswith("error: "), err.getvalue()

@@ -253,8 +253,9 @@ def test_batch_pseudo_label_slices_match_cache():
 
 
 def test_dataset_rejects_out_of_range_values():
-    with pytest.raises(ValueError, match="outside"):
-        D.Dataset(images=np.array([[1.5]]))
+    for bad in (1.5, -0.5, np.nan):
+        with pytest.raises(ValueError, match="outside"):
+            D.Dataset(images=np.array([[0.5], [bad]]))
 
 
 def test_dataset_rejects_label_count_mismatch():

@@ -82,12 +82,6 @@ def test_accuracy_bookkeeping(setup):
     assert 0.0 <= rep.perturbed_accuracy <= 1.0
 
 
-def test_budget_warning(setup):
-    model, ds = setup
-    with pytest.warns(UserWarning, match="budget"):
-        E.fooling_ratio(model, ds, np.full(5, 0.5), epsilon=0.1)
-
-
 def test_shape_mismatch(setup):
     model, ds = setup
     with pytest.raises(ValueError, match="delta shape"):

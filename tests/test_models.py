@@ -6,6 +6,7 @@ import pytest
 from uapforge import autodiff as ad
 from uapforge import data as D
 from uapforge import models as M
+from uapforge.errors import TrainingDiverged
 from uapforge.tensor import array_fingerprint, content_hash
 
 
@@ -197,11 +198,19 @@ def test_train_deterministic():
 def test_train_divergence_reports_epoch():
     ds = D.synth_blobs(2, 40, 4, spread=0.05, seed=2)
     m = M.build_model([M.dense(4, 8), M.relu(), M.dense(8, 2)], (4,), seed=0)
-    from uapforge.errors import TrainingDiverged
-
     with pytest.raises(TrainingDiverged, match="epoch"):
         with np.errstate(all="ignore"):
             M.train_erm(m, ds, epochs=50, lr=1e12, batch=8)
+
+
+@pytest.mark.parametrize("lr", [1e308, np.inf, np.nan])
+def test_train_divergence_in_the_last_step_is_refused(lr):
+    # one batch, one epoch: no later loss_grad sees the non-finite parameters the step leaves
+    ds = D.synth_blobs(2, 16, 4, spread=0.05, seed=2)
+    m = M.build_model([M.dense(4, 8), M.relu(), M.dense(8, 2)], (4,), seed=0)
+    with pytest.raises(TrainingDiverged, match="epoch 1: non-finite values in parameters"):
+        with np.errstate(all="ignore"):
+            M.train_erm(m, ds, epochs=1, lr=lr, batch=16)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
