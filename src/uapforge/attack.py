@@ -20,7 +20,7 @@ import numpy as np
 from .data import minibatches, pseudo_labels
 from .errors import ConfigError, CraftingFailed
 from .models import as_attack_target
-from .optim import AdamState, adam_step, l2_pgd_step, normalized_descent_step
+from .optim import AdamState, adam_step, l2_pgd_step, normalized_descent_step, sample_norms
 from .tensor import TensorFormatError, content_hash, load_artifact, save_artifact
 
 ORDERS = ("model_first", "data_first", "alternating", "none")
@@ -266,8 +266,7 @@ def craft(config, model_or_models, dataset):
                 0.0 if model_star is target
                 else float(np.linalg.norm(model_star.flat_params().astype(np.float64) - theta0))
             )
-            data_disp = 0.0 if x_star is batch.X else float(
-                np.linalg.norm((x_star - batch.X).reshape(len(x_star), -1), axis=1).max())
+            data_disp = 0.0 if x_star is batch.X else float(sample_norms(x_star - batch.X).max())
             delta_inf = float(np.abs(uap.delta).max())
             for name, value, bound in (
                 ("l-infinity", delta_inf, uap.epsilon),

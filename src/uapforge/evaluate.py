@@ -4,6 +4,11 @@ The fooling ratio counts prediction changes: the fraction of evaluated
 samples whose argmax flips when the perturbation is added. Perturbed inputs
 are always clamped to the [0, 1] pixel box before the model sees them; clean
 accuracy and perturbed accuracy are carried as auxiliary fields only.
+
+`transfer_matrix` is the one evaluation loop and `fooling_ratio` one of its
+cells. D deltas against T targets take (D + 1) * T forward passes: each
+target predicts the clean samples once and each delta's clipped batch once.
+`AttackTarget.predict` is the only code that splits samples into chunks.
 """
 
 import json
@@ -39,47 +44,13 @@ class TransferMatrix:
     reports: list = field(default_factory=list)
 
 
-def fooling_ratio(model, dataset, delta, model_id="", surrogate="", chunk=512):
+def fooling_ratio(model, dataset, delta, model_id="", surrogate=""):
     """Fraction of samples whose prediction changes under clip(x + delta).
 
     The denominator is every evaluated sample regardless of clean
-    correctness. Evaluation proceeds in chunks and merges integer counts, so
-    the result is independent of the chunk width.
+    correctness. This is the one cell of a one-by-one transfer matrix.
     """
-    delta = np.asarray(delta)
-    for what, shape in (("delta", delta.shape), ("model input", model.input_shape)):
-        if shape != dataset.sample_shape:
-            raise ConfigError(f"{what} shape {shape} != sample shape {dataset.sample_shape}")
-    X = dataset.images
-    n = X.shape[0]
-    n_changed = 0
-    n_clean_correct = 0
-    n_pert_correct = 0
-    n_correct_to_wrong = 0
-    for start in range(0, n, chunk):
-        xs = X[start : start + chunk]
-        clean = model.predict(xs)
-        pert = model.predict(np.clip(xs.astype(np.float64) + delta, 0.0, 1.0))
-        changed = clean != pert
-        n_changed += int(changed.sum())
-        if dataset.labels is not None:
-            ys = dataset.labels[start : start + chunk]
-            n_clean_correct += int((clean == ys).sum())
-            n_pert_correct += int((pert == ys).sum())
-            n_correct_to_wrong += int(((clean == ys) & (pert != ys)).sum())
-    has_labels = dataset.labels is not None
-    return FoolingReport(
-        model_id=model_id,
-        dataset_fingerprint=dataset.fingerprint,
-        delta_hash=array_fingerprint(delta),
-        n_evaluated=n,
-        n_changed=n_changed,
-        fooling_ratio=n_changed / n,
-        surrogate=surrogate,
-        clean_accuracy=n_clean_correct / n if has_labels else None,
-        perturbed_accuracy=n_pert_correct / n if has_labels else None,
-        n_correct_to_wrong=n_correct_to_wrong if has_labels else None,
-    )
+    return transfer_matrix([(model_id, model)], [(surrogate, delta)], dataset).reports[0]
 
 
 def transfer_matrix(models, deltas, dataset):
@@ -89,14 +60,35 @@ def transfer_matrix(models, deltas, dataset):
     (surrogate_tag, delta). Entry [i][j] applies delta i to target j; row
     averages follow each surrogate's mean ratio across targets.
     """
-    ratios, reports = [], []
+    deltas = [(tag, np.asarray(delta)) for tag, delta in deltas]
+    shapes = [("delta", delta.shape) for _, delta in deltas] + [("model input", m.input_shape) for _, m in models]
+    for what, shape in shapes:
+        if shape != dataset.sample_shape:
+            raise ConfigError(f"{what} shape {shape} != sample shape {dataset.sample_shape}")
+    X, Y = dataset.images, dataset.labels
+    n = X.shape[0]
+    clean = [model.predict(X) for _, model in models]
+    reports = []
     for tag, delta in deltas:
-        row = []
-        for target_id, model in models:
-            rep = fooling_ratio(model, dataset, delta, model_id=target_id, surrogate=tag)
-            row.append(rep.fooling_ratio)
-            reports.append(rep)
-        ratios.append(row)
+        perturbed = np.clip(X.astype(np.float64) + delta, 0.0, 1.0)
+        delta_hash = array_fingerprint(delta)
+        for (target_id, model), before in zip(models, clean):
+            after = model.predict(perturbed)
+            n_changed = int((before != after).sum())
+            labelled = {}
+            if Y is not None:
+                clean_ok, pert_ok = before == Y, after == Y
+                labelled = dict(
+                    clean_accuracy=int(clean_ok.sum()) / n,
+                    perturbed_accuracy=int(pert_ok.sum()) / n,
+                    n_correct_to_wrong=int((clean_ok & ~pert_ok).sum()),
+                )
+            reports.append(FoolingReport(
+                model_id=target_id, dataset_fingerprint=dataset.fingerprint, delta_hash=delta_hash,
+                n_evaluated=n, n_changed=n_changed, fooling_ratio=n_changed / n, surrogate=tag, **labelled,
+            ))
+    t = len(models)
+    ratios = [[r.fooling_ratio for r in reports[i * t : (i + 1) * t]] for i in range(len(deltas))]
     return TransferMatrix(
         surrogates=[tag for tag, _ in deltas],
         targets=[tid for tid, _ in models],

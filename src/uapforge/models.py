@@ -354,8 +354,10 @@ def train_erm(model, dataset, epochs, lr, batch, seed=0):
         losses = []
         for b in minibatches(dataset, batch, epoch_seed=seed ^ epoch):
             try:
-                loss, grad = trained.loss_grad(b.X, b.Y, "parameters")
-                params = require_finite(trained.params - lr * grad, "parameters")
+                # a diverging step overflows; the explicit finiteness checks report it, not numpy warnings
+                with np.errstate(over="ignore", invalid="ignore"):
+                    loss, grad = trained.loss_grad(b.X, b.Y, "parameters")
+                    params = require_finite(trained.params - lr * grad, "parameters")
             except ValueError as exc:
                 raise TrainingDiverged(f"training diverged at epoch {epoch + 1}: {exc}") from exc
             trained = trained.with_params(params)

@@ -38,7 +38,7 @@ def normalized_descent_step(theta, grad, alpha):
     return theta - (alpha / norm) * grad
 
 
-def _sample_norms(a):
+def sample_norms(a):
     """The l2 norm of each sample; axis 0 indexes samples."""
     return np.linalg.norm(a.reshape(len(a), -1), axis=1)
 
@@ -57,7 +57,7 @@ def l2_project(v, center, radius):
         raise ValueError(f"shape mismatch: v {v.shape}, center {center.shape}")
     require_finite(v, "projection input")
     disp = v - center
-    norms = _sample_norms(disp)
+    norms = sample_norms(disp)
     outside = norms > radius * (1.0 + _BALL_SLACK)
     if not np.any(outside):
         return v
@@ -77,7 +77,7 @@ def l2_pgd_step(x, grad, alpha, center, radius, clamp_box=False):
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
     require_finite(grad, "gradient")
-    norms = _sample_norms(grad)
+    norms = sample_norms(grad)
     moving = norms >= ZERO_GRAD_TOL
     scale = np.where(moving, alpha / np.where(moving, norms, 1.0), 0.0)
     x = l2_project(x - grad * scale.reshape(-1, *[1] * (x.ndim - 1)), center, radius)

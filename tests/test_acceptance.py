@@ -305,7 +305,7 @@ def test_criterion_5_degenerate_equivalence(experiment):
 
 
 @pytest.mark.slow
-def test_criterion_6_determinism(experiment, tmp_path):
+def test_criterion_6_determinism(experiment, tmp_path, monkeypatch):
     started = time.perf_counter()
     model, sub, hold, base = experiment["setups"][0]
     cfg = A.apply_variant(base, "spgd")
@@ -316,7 +316,10 @@ def test_criterion_6_determinism(experiment, tmp_path):
     A.save_uap_artifact(p1, d1, cfg, model, sub, log1)
     A.save_uap_artifact(p2, d2, cfg, model, sub, log2)
     assert p1.read_bytes() == p2.read_bytes()
-    counts = {E.fooling_ratio(model, hold, d1, chunk=c).n_changed for c in (1, 13, 125, 10_000)}
+    counts = set()
+    for c in (1, 13, 125, 10_000):
+        monkeypatch.setattr(M, "PREDICT_CHUNK", c)
+        counts.add(E.fooling_ratio(model, hold, d1).n_changed)
     assert len(counts) == 1
     _ok("criterion-6 determinism", started, "byte-identical artifacts, chunk-invariant counts")
 

@@ -339,13 +339,13 @@ def test_output_directory_that_is_a_file_exits_6(workdir, capsys):
     assert sorted(workdir.rglob("*")) == made
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_divergence_exits_3(workdir):
     rc = cli.main(["--config", "run.json", "--set", "model.train.lr=1e12", "train"])
     assert rc == 3
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_whose_only_step_diverges_exits_3(workdir, capsys):
     # one epoch of one batch: the step itself leaves non-finite parameters, and no checkpoint is written
     argv = ["--config", "run.json", "--set", 'dataset={"n": 40, "subset_size": null}',

@@ -55,10 +55,13 @@ def test_matches_naive_oracle(setup):
     assert rep.fooling_ratio == naive_fooling(model, ds, delta)
 
 
-def test_chunk_width_does_not_change_counts(setup):
+def test_chunk_width_does_not_change_counts(setup, monkeypatch):
     model, ds = setup
     delta = np.random.default_rng(8).uniform(-0.3, 0.3, 5)
-    reports = [E.fooling_ratio(model, ds, delta, chunk=c) for c in (1, 7, 64, 1000)]
+    reports = []
+    for c in (1, 7, 64, 1000):
+        monkeypatch.setattr(M, "PREDICT_CHUNK", c)
+        reports.append(E.fooling_ratio(model, ds, delta))
     assert len({r.n_changed for r in reports}) == 1
 
 
@@ -119,6 +122,26 @@ def test_matrix_entries_match_direct_calls(setup):
     for i, (_, delta) in enumerate(deltas):
         for j, (mid, m) in enumerate(models):
             assert tm.ratios[i][j] == E.fooling_ratio(m, ds, delta, model_id=mid).fooling_ratio
+
+
+def test_matrix_predicts_clean_samples_once_per_target(setup, monkeypatch):
+    model, ds = setup
+    targets = [(f"m{j}", model.with_params(model.params * scale)) for j, scale in enumerate((1.0, 0.8, 1.3))]
+    rng = np.random.default_rng(15)
+    deltas = [("a", rng.uniform(-0.3, 0.3, 5)), ("b", rng.uniform(-0.3, 0.3, 5))]
+    seen = []
+    predict = M.AttackTarget.predict
+    monkeypatch.setattr(M.AttackTarget, "predict", lambda self, X: seen.append(X) or predict(self, X))
+    tm = E.transfer_matrix(targets, deltas, ds)
+    # (D + 1) * T passes: three clean ones, then one clipped batch per delta shared by the three targets
+    assert len(seen) == (len(deltas) + 1) * len(targets)
+    assert all(X is ds.images for X in seen[:3])
+    first, second = seen[3:6], seen[6:9]
+    assert all(X is first[0] for X in first) and all(X is second[0] for X in second)
+    assert first[0] is not second[0] and first[0] is not ds.images
+    monkeypatch.undo()
+    cells = [E.fooling_ratio(m, ds, delta, model_id=mid, surrogate=tag) for tag, delta in deltas for mid, m in targets]
+    assert tm.reports == cells
 
 
 # -- report files ----------------------------------------------------------------
