@@ -7,9 +7,12 @@ Setting rho or r to zero (or order "none") degrades the loop to the plain
 averaged-loss baseline, which is how the ablation variants are expressed.
 
 All budget-carrying quantities (theta-star, optimized samples, the
-perturbation itself) are tracked in float64 regardless of the model's compute
-dtype, so the ball invariants hold exactly; the clean model's forward runs at
-its own precision.
+perturbation itself) are stored in float64 regardless of the model's dtype,
+so the ball invariants hold exactly. Every gradient, inner or ascent, runs at
+the surrogate's own precision: it is taken on the surrogate at theta-star
+(`with_params` keeps the surrogate's dtype) with the samples cast to that
+dtype, and the step it feeds is computed in float64. So on a float32
+surrogate every gradient of a mini-batch runs at float32.
 """
 
 import time
@@ -20,7 +23,7 @@ import numpy as np
 from .data import minibatches, pseudo_labels
 from .errors import ConfigError, CraftingFailed
 from .models import as_attack_target
-from .optim import AdamState, adam_step, l2_pgd_step, normalized_descent_step, sample_norms
+from .optim import AdamState, adam_step, l2_norm, l2_pgd_step, normalized_descent_step, sample_norms
 from .tensor import TensorFormatError, content_hash, load_artifact, save_artifact
 
 ORDERS = ("model_first", "data_first", "alternating", "none")
@@ -143,7 +146,7 @@ def step_schedule(order, k_model, k_data):
 
 
 def inner_minimize(target, X, Y, steps, rho_t, r_t, alpha_m, alpha_d, clamp_box=False):
-    """Run a step schedule from the clean model and samples; return (model_star, x_star).
+    """Run a step schedule from the clean model and samples; return (model_star, theta_star, x_star).
 
     A model step is one normalized descent step of length alpha_m on the
     parameters, so k_model steps of rho_t / k_model cannot leave the
@@ -151,9 +154,13 @@ def inner_minimize(target, X, Y, steps, rho_t, r_t, alpha_m, alpha_d, clamp_box=
     gradient at the current theta-star: each sample moves alpha_d and is
     projected onto its r_t-ball around the clean sample. So each step sees
     the other side's latest iterate. Model steps are skipped when rho_t = 0
-    and data steps when r_t = 0. theta-star and the samples are lifted to
-    float64 at their first step; a side that takes no step is returned as
-    the very input object.
+    and data steps when r_t = 0.
+
+    theta_star and x_star are float64 from their side's first step, and each
+    step is computed in float64. model_star is the target at theta_star in
+    the target's own dtype; every gradient is taken on it. A side that takes
+    no step comes back as the very input: model_star is target and
+    theta_star None, or x_star is X.
     """
     model_star, x = target, X
     theta = x0 = None
@@ -161,22 +168,22 @@ def inner_minimize(target, X, Y, steps, rho_t, r_t, alpha_m, alpha_d, clamp_box=
         if step == "model" and rho_t > 0:
             if theta is None:
                 theta = target.flat_params().astype(np.float64)
-                model_star = target.with_params(theta)
             _, grad = model_star.loss_grad(x, Y, "parameters")
-            theta = normalized_descent_step(theta, grad, alpha_m)
+            theta = normalized_descent_step(theta, grad.astype(np.float64), alpha_m)
             model_star = target.with_params(theta)
         elif step == "data" and r_t > 0:
             if x0 is None:
                 x = x0 = np.asarray(X, dtype=np.float64)
             _, grad = model_star.loss_grad(x, Y, "input", reduction="sum")
             x = l2_pgd_step(x, grad.astype(np.float64), alpha_d, x0, r_t, clamp_box)
-    return model_star, x
+    return model_star, theta, x
 
 
 def uap_update(uap, model_star, X_star, Y, gamma):
     """One Adam ascent step on delta, then clamp to [-epsilon, epsilon].
 
-    The gradient of the mean batch loss at X_star + delta is negated before
+    The gradient of the mean batch loss at X_star + delta, taken on
+    model_star at its own precision, is lifted to float64 and negated before
     the Adam step (Adam descends; the attack maximizes). Returns the new
     state and the loss the gradient was taken at.
     """
@@ -235,7 +242,8 @@ def craft(config, model_or_models, dataset):
     cached clean-model pseudo-labels, reset theta-star to the clean
     parameters, run the configured order's step schedule, then take one
     Adam ascent step on delta. Ball and clamp invariants are checked after
-    every batch; a violation raises CraftingFailed.
+    every batch, on the float64 theta-star and samples; a violation raises
+    CraftingFailed.
     """
     target = as_attack_target(model_or_models)
     if dataset.sample_shape != target.input_shape:
@@ -256,16 +264,15 @@ def craft(config, model_or_models, dataset):
         losses, model_disps, data_disps = [], [0.0], [0.0]
         for batch in minibatches(dataset, resolved.batch_size, epoch_seed=shuffle_seed ^ t, labels=labels):
             try:
-                model_star, x_star = inner_minimize(
-                    target, batch.X, batch.Y, steps, rho_t, r_t, alpha_m, alpha_d, resolved.clamp_data_box
-                )
-                uap, loss = uap_update(uap, model_star, x_star, batch.Y, resolved.gamma)
+                # a step that goes non-finite is reported by the finiteness checks, not numpy warnings
+                with np.errstate(over="ignore", invalid="ignore"):
+                    model_star, theta_star, x_star = inner_minimize(
+                        target, batch.X, batch.Y, steps, rho_t, r_t, alpha_m, alpha_d, resolved.clamp_data_box
+                    )
+                    uap, loss = uap_update(uap, model_star, x_star, batch.Y, resolved.gamma)
             except (ValueError, FloatingPointError) as exc:
                 raise CraftingFailed(f"epoch {t}, batch indices {batch.indices[:4]}...: {exc}") from exc
-            model_disp = (
-                0.0 if model_star is target
-                else float(np.linalg.norm(model_star.flat_params().astype(np.float64) - theta0))
-            )
+            model_disp = 0.0 if theta_star is None else l2_norm(theta_star - theta0)
             data_disp = 0.0 if x_star is batch.X else float(sample_norms(x_star - batch.X).max())
             delta_inf = float(np.abs(uap.delta).max())
             for name, value, bound in (

@@ -163,10 +163,11 @@ def cmd_ablate(cfg):
             raise ConfigError(f"invalid sweep value {value!r} for axis {axis}: {exc}") from exc
     craft_ds, _, holdout = load_datasets(cfg)
     target = _craft_target(cfg)
+    deltas = [("", A.craft(atk, target, craft_ds)[0]) for atk in points]
+    # one evaluation of every point's delta, so the clean holdout is predicted once
+    reports = E.transfer_matrix([("", target)], deltas, holdout).reports
     lines = [f"{axis},fooling_ratio,n,delta_hash"]
-    for value, atk in zip(values, points):
-        delta, _ = A.craft(atk, target, craft_ds)
-        rep = E.fooling_ratio(target, holdout, delta)
+    for value, rep in zip(values, reports):
         lines.append(f"{value},{rep.fooling_ratio:.4f},{rep.n_evaluated},{rep.delta_hash}")
         print(f"{axis}={value}: fooling ratio {rep.fooling_ratio:.4f}")
     out = _out_path(cfg, "reports", f"ablate-{axis}.csv")

@@ -252,10 +252,11 @@ class ModelState(AttackTarget):
         """Same architecture, different flat parameter vector: the one way to
         evaluate a model at other parameters.
 
-        The new model adopts `theta`'s dtype, so a float64 vector yields a
-        float64-compute model (used for exact neighborhood accounting).
+        The new model keeps this model's dtype and `theta` is cast to it, so
+        the attack can hold theta-star in float64 while every gradient runs at
+        the surrogate's own precision.
         """
-        return replace(self, params=np.asarray(theta), history=[])
+        return replace(self, params=np.asarray(theta, dtype=self.params.dtype), history=[])
 
     def fingerprint(self):
         spec_blob = json.dumps([l.to_dict() for l in self.spec], sort_keys=True).encode()
@@ -398,6 +399,7 @@ class Ensemble(AttackTarget):
         return np.concatenate([m.params for m in self.models])
 
     def with_params(self, theta):
+        """The ensemble at a flat parameter vector; each member keeps its own dtype."""
         return Ensemble(tuple(m.with_params(th) for m, th in zip(self.models, self._split(theta))))
 
     def logits(self, X):

@@ -6,6 +6,11 @@ indexes samples, each steps and is projected onto its own ball), and Adam
 with an l-infinity clamp handled by the caller. Gradients with l2 norm below
 ZERO_GRAD_TOL skip the step instead of dividing by a tiny norm, which keeps
 every budget invariant intact.
+
+Every l2 norm is one fixed-order numpy sum of squares per sample, never a
+BLAS dot product, whose partial sums follow the thread count; so the bytes
+of a step do not depend on OPENBLAS_NUM_THREADS. A sample's result depends
+on that sample alone, also when other samples of its batch are projected.
 """
 
 from dataclasses import dataclass
@@ -32,24 +37,44 @@ def normalized_descent_step(theta, grad, alpha):
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
     require_finite(grad, "gradient")
-    norm = float(np.linalg.norm(grad))
+    norm = l2_norm(grad)
     if norm < ZERO_GRAD_TOL:
         return theta
     return theta - (alpha / norm) * grad
 
 
 def sample_norms(a):
-    """The l2 norm of each sample; axis 0 indexes samples."""
-    return np.linalg.norm(a.reshape(len(a), -1), axis=1)
+    """The l2 norm of each sample; axis 0 indexes samples.
+
+    Each sample's squares are summed in one fixed order. A finite sample whose
+    sum of squares overflows is measured again from its entries divided by
+    the largest of them, so its norm is finite while it fits a float.
+    """
+    rows = a.reshape(len(a), -1)
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.sum(rows * rows, axis=1))
+        big = np.flatnonzero(np.isinf(norms))
+        if big.size:
+            peak = np.abs(rows[big]).max(axis=1)
+            keep = np.isfinite(peak)  # a row holding an inf keeps an infinite norm
+            big, peak = big[keep], peak[keep]
+            unit = rows[big] / peak[:, None]
+            norms[big] = peak * np.sqrt(np.sum(unit * unit, axis=1))
+    return norms
+
+
+def l2_norm(a):
+    """The l2 norm of all of `a`'s entries, as `sample_norms` measures one sample."""
+    return float(sample_norms(a.reshape(1, -1))[0])
 
 
 def l2_project(v, center, radius):
     """Map each sample of v that lies outside the l2 ball around its center onto it.
 
-    When every sample is inside (up to relative rounding slack), v itself is
-    returned, so the projection is bit-wise idempotent. Otherwise a sample
-    inside comes back as center + (v - center), which can differ from v in
-    the last bit.
+    A sample inside (up to relative rounding slack) keeps its own bytes, so
+    the projection is bit-wise idempotent and a sample's result does not
+    depend on the rest of its batch; when every sample is inside, v itself
+    is returned.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
@@ -61,8 +86,9 @@ def l2_project(v, center, radius):
     outside = norms > radius * (1.0 + _BALL_SLACK)
     if not np.any(outside):
         return v
-    shrink = np.where(outside, radius / np.where(outside, norms, 1.0), 1.0)
-    return center + disp * shrink.reshape(-1, *[1] * (v.ndim - 1))
+    row = (-1,) + (1,) * (v.ndim - 1)
+    shrink = radius / np.where(outside, norms, 1.0)
+    return np.where(outside.reshape(row), center + disp * shrink.reshape(row), v)
 
 
 def l2_pgd_step(x, grad, alpha, center, radius, clamp_box=False):

@@ -265,7 +265,7 @@ def test_criterion_4_inner_optimality_grid_oracle():
     Y = rng.integers(0, 2, 6)
     rho_t = 0.3
     steps = A.step_schedule("model_first", 10, 10)
-    model_star, _ = A.inner_minimize(m, X, Y, steps, rho_t, 0.0, rho_t / 10, 0.0)
+    model_star, _, _ = A.inner_minimize(m, X, Y, steps, rho_t, 0.0, rho_t / 10, 0.0)
     got = model_star.loss(X, Y)
     best = min(
         naive_ce(np.stack([X[:, 0] * th[0], X[:, 0] * th[1]], axis=1), Y)
@@ -279,7 +279,7 @@ def test_criterion_4_inner_optimality_grid_oracle():
     x0 = np.array([[0.5, 0.5]])
     y = np.array([1])
     r_t = 0.25
-    _, x_star = A.inner_minimize(md, x0, y, steps, 0.0, r_t, 0.0, 1.25 * r_t / 10)
+    _, _, x_star = A.inner_minimize(md, x0, y, steps, 0.0, r_t, 0.0, 1.25 * r_t / 10)
     got_d = md.loss(x_star, y)
     pts = x0 + ball_grid(r_t)
     logits = pts @ md.params.reshape(2, 2)

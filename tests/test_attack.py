@@ -118,7 +118,7 @@ def test_step_schedule_orders():
 
 def inner_model(m, X, Y, rho_t, k):
     """The inner loop's model side alone: k model steps with r_t = 0."""
-    model_star, x_star = A.inner_minimize(
+    model_star, _, x_star = A.inner_minimize(
         m, X, Y, A.step_schedule("model_first", k, k), rho_t, 0.0, rho_t / k, 0.0
     )
     assert x_star is X
@@ -127,10 +127,10 @@ def inner_model(m, X, Y, rho_t, k):
 
 def inner_data(m, X, Y, r_t, k):
     """The inner loop's data side alone: k data steps with rho_t = 0."""
-    model_star, x_star = A.inner_minimize(
+    model_star, theta_star, x_star = A.inner_minimize(
         m, X, Y, A.step_schedule("model_first", k, k), 0.0, r_t, 0.0, 1.25 * r_t / k
     )
-    assert model_star is m
+    assert model_star is m and theta_star is None
     return x_star
 
 
@@ -257,9 +257,9 @@ def test_inner_data_clamp_box_keeps_edge_samples_in_box_and_ball():
     Y = np.array([0, 1, 0, 1, 0])
     steps = A.step_schedule("model_first", 1, 10)
     r_t = 0.3
-    free = A.inner_minimize(m, X, Y, steps, 0.0, r_t, 0.0, 1.25 * r_t / 10)[1]
+    free = A.inner_minimize(m, X, Y, steps, 0.0, r_t, 0.0, 1.25 * r_t / 10)[2]
     assert free.min() < 0.0 or free.max() > 1.0  # unclamped, the descent leaves the box
-    _, x_star = A.inner_minimize(m, X, Y, steps, 0.0, r_t, 0.0, 1.25 * r_t / 10, clamp_box=True)
+    _, _, x_star = A.inner_minimize(m, X, Y, steps, 0.0, r_t, 0.0, 1.25 * r_t / 10, clamp_box=True)
     assert x_star.min() >= 0.0 and x_star.max() <= 1.0
     assert np.linalg.norm(x_star - X, axis=1).max() <= r_t + 1e-12
     assert m.loss(x_star, Y) < m.loss(X, Y)
@@ -274,13 +274,77 @@ def test_inner_data_step_is_one_loss_grad_and_l2_pgd_step():
     Y = rng.integers(0, 2, 4)
     alpha, r_t = 0.12, 0.2
     for clamp in (False, True):
-        _, x_star = A.inner_minimize(m, X, Y, ("data", "data"), 0.0, r_t, 0.0, alpha, clamp_box=clamp)
+        _, _, x_star = A.inner_minimize(m, X, Y, ("data", "data"), 0.0, r_t, 0.0, alpha, clamp_box=clamp)
         want = X
         for _ in range(2):
             _, grad = m.loss_grad(want, Y, "input", reduction="sum")
             want = optim.l2_pgd_step(want, grad.astype(np.float64), alpha, X, r_t, clamp)
         assert x_star.tobytes() == want.tobytes()
         assert np.linalg.norm(x_star - X, axis=1).max() == pytest.approx(r_t, rel=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_inner_gradients_run_at_the_surrogate_dtype(dtype, monkeypatch):
+    # theta-star and x-star are stored in float64 inside their balls, while every gradient the inner
+    # steps and the ascent step take runs at the surrogate's own dtype
+    seen = []
+    loss_grad = M.AttackTarget.loss_grad
+
+    def recording(self, X, Y, wrt, **kwargs):
+        loss, grad = loss_grad(self, X, Y, wrt, **kwargs)
+        seen.append((wrt, self.flat_params().dtype, grad.dtype))
+        return loss, grad
+
+    monkeypatch.setattr(M.AttackTarget, "loss_grad", recording)
+    ds = D.synth_blobs(3, 24, 6, spread=0.1, seed=12)
+    m = M.build_model([M.dense(6, 12), M.relu(), M.dense(12, 3)], (6,), seed=4, dtype=dtype)
+    X, Y = ds.images[:16], ds.labels[:16]
+    rho_t, r_t, k = 0.3, 0.2, 3
+    model_star, theta_star, x_star = A.inner_minimize(
+        m, X, Y, A.step_schedule("alternating", k, k), rho_t, r_t, rho_t / k, 1.25 * r_t / k
+    )
+    assert theta_star.dtype == x_star.dtype == np.float64
+    assert optim.l2_norm(theta_star - m.params) <= rho_t * (1 + 1e-12)
+    assert optim.sample_norms(x_star - X).max() <= r_t * (1 + 1e-12)
+    assert model_star.params.tobytes() == theta_star.astype(dtype).tobytes()
+    A.uap_update(A.init_uap((6,), 0.05), model_star, x_star, Y, 0.01)
+    assert [wrt for wrt, _, _ in seen] == ["parameters", "input"] * k + ["perturbation"]
+    seen.clear()
+    A.craft(tiny_config(epochs=2, batch_size=8), m, ds)
+    assert len(seen) == 2 * 3 * (3 + 3 + 1)  # epochs x batches x (k_model + k_data + ascent)
+    assert {(p, g) for _, p, g in seen} == {(np.dtype(dtype), np.dtype(dtype))}
+
+
+# a DM craft and the spgd set-up of the benchmark on a float32 3x32x32 cnn_small; prints the trained
+# parameters' and the two deltas' SHA-1
+_THREADED_CRAFTS = """
+import hashlib
+from uapforge import attack as A, data as D, models as M
+
+shape = (3, 32, 32)
+ds = D.synth_blobs(4, 500, shape, spread=0.12, seed=1)
+model = M.train_erm(M.build_model(M.make_architecture("cnn_small", shape, 4), shape, seed=1),
+                    ds, epochs=1, lr=0.15, batch=64, seed=1)
+hashes = [hashlib.sha1(model.params.tobytes()).hexdigest()]
+for variant, data, epochs in (("dm-uap", D.subset(ds, 250, seed=1), 1), ("spgd", ds, 2)):
+    cfg = A.apply_variant(A.AttackConfig(epochs=epochs, batch_size=125, k_model=3, k_data=3, seed=1), variant)
+    hashes.append(hashlib.sha1(A.craft(cfg, model, data)[0].tobytes()).hexdigest())
+print(" ".join(hashes))
+"""
+
+
+def test_delta_bytes_do_not_depend_on_the_blas_thread_count():
+    # the model step's norm over 20186 parameters is where a thread-split BLAS dot would differ
+    src = os.path.dirname(os.path.dirname(A.__file__))
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _THREADED_CRAFTS],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout.split())
+    assert len(out[0]) == 3 and out[0] == out[1]
 
 
 # -- UAP update ------------------------------------------------------------------

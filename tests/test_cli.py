@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -11,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uapforge import attack as A
 from uapforge import cli
 from uapforge import config as C
+from uapforge import evaluate as E
 from uapforge import models as M
 from uapforge import tensor as T
 from uapforge.errors import ConfigError
@@ -355,6 +358,16 @@ def test_train_whose_only_step_diverges_exits_3(workdir, capsys):
     assert not (workdir / "out").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_craft_numeric_failure_exits_4_with_one_error_line(workdir, capsys):
+    assert cli.main(["--config", "run.json", "train"]) == 0
+    capsys.readouterr()
+    assert cli.main(["--config", "run.json", "--set", "attack.rho=1e308", "craft"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: epoch 1, ") and err.count("\n") == 1, err
+    assert delta_paths(workdir) == []
+
+
 # a path holding a NUL byte cannot be opened: it exits with the contract code of the file it names
 NUL_PATHS = {
     "config": (["--config", "a\x00b.json", "train"], 2),
@@ -623,6 +636,30 @@ def test_ablate_order_sweep(workdir, capsys):
     csv = open("out/reports/ablate-order.csv").read().strip().split("\n")
     assert csv[0] == "order,fooling_ratio,n,delta_hash"
     assert len(csv) == 3
+
+
+def test_ablate_predicts_the_clean_holdout_once(workdir, capsys, monkeypatch):
+    # every point's delta goes to one transfer matrix: one clean pass plus one pass per point, and the
+    # report and stdout lines are those of a craft and a fooling_ratio per point
+    assert cli.main(["--config", "run.json", "train"]) == 0
+    cfg = C.load_config("run.json")
+    craft_ds, _, holdout = cli.load_datasets(cfg)
+    target = cli._craft_target(cfg)
+    values = ["model_first", "none", "alternating"]
+    want = ["order,fooling_ratio,n,delta_hash"]
+    for value in values:
+        delta, _ = A.craft(replace(C.attack_config(cfg), order=value), target, craft_ds)
+        rep = E.fooling_ratio(target, holdout, delta)
+        want.append(f"{value},{rep.fooling_ratio:.4f},{rep.n_evaluated},{rep.delta_hash}")
+    capsys.readouterr()
+    seen = []
+    predict = M.AttackTarget.predict
+    monkeypatch.setattr(M.AttackTarget, "predict", lambda self, X: seen.append(len(X)) or predict(self, X))
+    assert cli.main(["--config", "run.json", "ablate", "--axis", "order", "--values", json.dumps(values)]) == 0
+    assert seen.count(len(holdout)) == 1 + len(values)
+    assert open("out/reports/ablate-order.csv").read() == "\n".join(want) + "\n"
+    lines = [f"order={line.split(',')[0]}: fooling ratio {line.split(',')[1]}" for line in want[1:]]
+    assert capsys.readouterr().out.splitlines()[:-1] == lines
 
 
 def test_ablate_requires_single_known_axis(workdir):

@@ -414,6 +414,17 @@ def test_ensemble_parameter_gradient_blocks_keep_member_precision():
     assert np.array_equal(block.astype(np.float32).astype(np.float64), block)
 
 
+def test_with_params_keeps_each_models_dtype():
+    theta = np.random.default_rng(6).normal(size=15)
+    m32 = M.build_model([M.dense(4, 3)], (4,), seed=1, dtype=np.float32)
+    m64 = M.build_model([M.dense(4, 3)], (4,), seed=2, dtype=np.float64)
+    assert m32.with_params(theta).params.tobytes() == theta.astype(np.float32).tobytes()
+    assert m64.with_params(theta).params is theta
+    ens = M.Ensemble((m32, m64)).with_params(np.concatenate([theta, theta]))
+    assert [m.params.dtype for m in ens.models] == [np.float32, np.float64]
+    assert ens.flat_params().tobytes() == np.concatenate([theta.astype(np.float32), theta]).tobytes()
+
+
 def test_ensemble_rejects_empty_and_mismatched():
     with pytest.raises(ValueError):
         M.Ensemble(())

@@ -97,6 +97,27 @@ def test_project_idempotent_bitwise():
         assert once.tobytes() == twice.tobytes()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_project_lands_a_row_whose_squares_overflow_on_the_ball():
+    # the sum of squares of (1e200, 1e200) overflows; the norm is measured again from the scaled row
+    out = optim.l2_project(np.array([[1e200, 1e200]]), np.zeros((1, 2)), 1.0)
+    assert out == pytest.approx(np.full((1, 2), np.sqrt(0.5)), rel=1e-15)
+    v = np.array([[1e200, -3e199, 0.0], [3.0, 4.0, 0.0], [0.1, 0.0, 0.2]])
+    norms = optim.sample_norms(v)
+    assert norms[0] == pytest.approx(1e200 * np.sqrt(1.09), rel=1e-15)
+    assert norms[1:].tobytes() == np.linalg.norm(v[1:], axis=1).tobytes()  # finite rows keep their bytes
+    assert optim.l2_norm(v[:1]) == norms[0]
+    assert optim.sample_norms(np.array([[np.inf, 1.0]]))[0] == np.inf
+
+
+def test_l2_norm_is_one_fixed_order_sum():
+    # a BLAS dot splits its sum by thread count; the norm is numpy's own sum of squares
+    rng = np.random.default_rng(8)
+    for n in (3, 3658, 20186):
+        g = rng.normal(size=n)
+        assert optim.l2_norm(g) == float(np.sqrt(np.sum(g * g)))
+
+
 def test_project_rejects_negative_radius():
     with pytest.raises(ValueError, match="radius"):
         optim.l2_project(np.zeros((1, 1)), np.zeros((1, 1)), -0.1)
@@ -135,33 +156,26 @@ def test_pgd_box_clamp():
 @pytest.mark.parametrize("shape", [(1, 16, 16), (3, 32, 32)])
 def test_pgd_batch_rows_match_single_row_steps(shape):
     # a batch of samples that stay inside their ball, samples pushed outside and zero gradients;
-    # a sample that is projected is bitwise its own single-sample step, and a sample left inside
-    # is that step re-expressed as center + (x - center) when another sample of the batch is projected
+    # every sample is bitwise its own single-sample step, whether or not others of the batch are projected
     rng = np.random.default_rng(7)
     n, alpha, radius = 125, 0.2, 0.5
     center = rng.uniform(0, 1, (n, *shape))
     x = center + rng.normal(size=center.shape) * rng.uniform(0, 0.6, (n, 1, 1, 1)) / np.sqrt(center[0].size)
     grad = rng.normal(size=center.shape)
     grad[::5] = 0.0
-    batched = optim.l2_pgd_step(x, grad, alpha, center, radius)
     kinds = set()
-    for i in range(n):
-        row = slice(i, i + 1)
-        single = optim.l2_pgd_step(x[row], grad[row], alpha, center[row], radius)
-        unprojected = optim.l2_pgd_step(x[row], grad[row], alpha, center[row], np.inf)
-        outside = np.linalg.norm(unprojected - center[row]) > radius
-        kinds.add((bool(outside), not grad[row].any()))
-        if outside:
+    for start in (x, center):
+        batched = optim.l2_pgd_step(start, grad, alpha, center, radius)
+        for i in range(n):
+            row = slice(i, i + 1)
+            single = optim.l2_pgd_step(start[row], grad[row], alpha, center[row], radius)
+            unprojected = optim.l2_pgd_step(start[row], grad[row], alpha, center[row], np.inf)
+            outside = np.linalg.norm(unprojected - center[row]) > radius
+            kinds.add((bool(outside), not grad[row].any()))
             assert batched[row].tobytes() == single.tobytes()
-        else:
-            assert single.tobytes() == unprojected.tobytes()
-            assert batched[row].tobytes() == (center[row] + (single - center[row])).tobytes()
+            if not outside:
+                assert single.tobytes() == unprojected.tobytes()
     assert kinds == {(True, False), (False, False), (True, True), (False, True)}
-    # with no sample outside, every row is bitwise its single-sample step
-    inside = optim.l2_pgd_step(center, grad, alpha, center, radius)
-    for i in range(n):
-        single = optim.l2_pgd_step(center[i : i + 1], grad[i : i + 1], alpha, center[i : i + 1], radius)
-        assert inside[i : i + 1].tobytes() == single.tobytes()
 
 
 # -- Adam ---------------------------------------------------------------------
