@@ -25,8 +25,6 @@ trailing row or column, gets `+0.0`.
 
 import numpy as np
 
-from .tensor import require_finite
-
 
 class Var:
     """Graph node: a cached forward value plus the recipe for its gradient."""
@@ -270,23 +268,3 @@ def softmax_cross_entropy(logits, labels, reduction="mean"):
         return (p * g,)
 
     return Var(np.asarray(val), (logits,), vjp)
-
-
-def finite_difference_gradient(loss_fn, x, h=1e-5):
-    """Central-difference gradient estimate of a scalar function, per coordinate."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        up = loss_fn(x)
-        flat[i] = orig - h
-        down = loss_fn(x)
-        flat[i] = orig
-        require_finite(np.array([up, down]), "finite-difference probe")
-        gflat[i] = (up - down) / (2.0 * h)
-    return grad

@@ -40,16 +40,14 @@ def _out_path(cfg, kind, name):
 
 
 def load_datasets(cfg):
-    """Materialize (crafting dataset, holdout dataset) from the config."""
+    """Materialize (crafting dataset, training dataset, holdout dataset) from the config."""
     section = C.validate_dataset_section(cfg)
     try:
         if section["source"] == "idx":
             full = D.load_idx(section["images"], section["labels"])
         else:
-            full = D.synth_blobs(
-                section["num_classes"], section["n"], tuple(section["shape"]),
-                section["spread"], seed=section["seed"], modes=section.get("modes", 1),
-            )
+            full = D.synth_blobs(section["num_classes"], section["n"], tuple(section["shape"]), section["spread"],
+                                 seed=section["seed"])
         n = len(full)
         n_holdout = int(round(n * section["holdout_fraction"]))
         order = np.random.default_rng(section["seed"] ^ 0x5EED).permutation(n)
@@ -57,7 +55,7 @@ def load_datasets(cfg):
         train = full.take(train_idx, f"{full.name}-train")
         holdout = full.take(hold_idx, f"{full.name}-holdout") if n_holdout else train
         craft_ds = train
-        if section["subset_size"]:
+        if section["subset_size"] is not None:
             craft_ds = D.subset(train, section["subset_size"], seed=section["seed"])
     except ArtifactMissing as exc:
         raise ConfigError(f"dataset.images and dataset.labels must be readable IDX files: {exc}") from None
@@ -75,9 +73,9 @@ def cmd_train(cfg):
     path = _checkpoint_path(cfg)
     _, train_ds, holdout = load_datasets(cfg)
     section = cfg["model"]
-    num_classes = int(train_ds.labels.max()) + 1 if train_ds.labels is not None else 0
+    num_classes = int(train_ds.labels.max()) + 1
     if num_classes < 2:
-        raise ConfigError("training dataset must carry labels with at least two classes")
+        raise ConfigError("training dataset must carry at least two classes")
     tr = section["train"]
     try:
         spec = M.make_architecture(section["arch"], train_ds.sample_shape, num_classes, section["hidden"])

@@ -35,7 +35,6 @@ DEFAULTS = {
         "n": 2000,
         "shape": [1, 16, 16],
         "spread": 0.12,
-        "modes": 1,
         "holdout_fraction": 0.25,
         "subset_size": None,
         "seed": 0,

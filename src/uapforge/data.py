@@ -1,9 +1,12 @@
 """Dataset ingestion, synthetic data, seeded mini-batches, pseudo-label cache.
 
 Images are float arrays in [0, 1] with shape [n, C, H, W] (or [n, d] for flat
-synthetic data). Every dataset carries a fingerprint of its images (see
-tensor.array_fingerprint) so runs and reports can name their inputs exactly.
-IDX files are read with tensor.read_file and written with tensor.write_atomic.
+synthetic data), and every sample has a label: both sources, IDX files (read
+with tensor.read_file) and synthetic blobs, give one. Every dataset carries a
+fingerprint of its images (see tensor.array_fingerprint) so runs and reports
+can name their inputs exactly. `clear_pseudo_label_cache` is called by the
+benchmark alone, which empties the cache before each pipeline operation as a
+new process per command would.
 """
 
 import struct
@@ -11,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import array_fingerprint, read_file, write_atomic
+from .tensor import array_fingerprint, read_file
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -20,7 +23,7 @@ IDX_LABEL_MAGIC = 0x00000801
 @dataclass
 class Dataset:
     images: np.ndarray
-    labels: np.ndarray | None = None
+    labels: np.ndarray
     name: str = ""
     fingerprint: str = field(init=False, compare=False)
 
@@ -28,10 +31,9 @@ class Dataset:
         lo, hi = float(self.images.min()), float(self.images.max())
         if not (lo >= 0.0 and hi <= 1.0):  # written so that NaN fails it
             raise ValueError(f"image values outside [0, 1]: min {lo}, max {hi}")
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (self.images.shape[0],):
-                raise ValueError("label count does not match image count")
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.labels.shape != (self.images.shape[0],):
+            raise ValueError("label count does not match image count")
         self.fingerprint = array_fingerprint(self.images)
 
     def __len__(self):
@@ -42,8 +44,8 @@ class Dataset:
         return self.images.shape[1:]
 
     def take(self, idx, name):
-        """The samples at `idx` (and their labels, if any) as a new dataset called `name`."""
-        return Dataset(images=self.images[idx], labels=None if self.labels is None else self.labels[idx], name=name)
+        """The samples at `idx` and their labels as a new dataset called `name`."""
+        return Dataset(images=self.images[idx], labels=self.labels[idx], name=name)
 
 
 @dataclass
@@ -79,48 +81,30 @@ def load_idx(images_path, labels_path):
     return Dataset(images=images, labels=labels.astype(np.int64), name="idx")
 
 
-def save_idx(dataset, images_path, labels_path):
-    """Write a dataset as an IDX pair (pixels quantized back to bytes), each file through write_atomic."""
-    images = dataset.images
-    if images.ndim != 4 or images.shape[1] != 1:
-        raise ValueError("IDX export expects [n, 1, H, W] images")
-    if dataset.labels is None:
-        raise ValueError("IDX export needs labels")
-    n, _, rows, cols = images.shape
-    pixels = np.clip(np.rint(images * 255.0), 0, 255).astype(np.uint8)
-    write_atomic(images_path, struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols) + pixels.tobytes())
-    write_atomic(labels_path, struct.pack(">II", IDX_LABEL_MAGIC, n) + dataset.labels.astype(np.uint8).tobytes())
-
-
-def synth_blobs(num_classes, n, shape, spread, seed=0, modes=1):
+def synth_blobs(num_classes, n, shape, spread, seed=0):
     """Gaussian clusters around seeded per-class centers, clipped to [0, 1].
 
     `shape` is either an int (flat feature vectors) or a (C, H, W) tuple.
-    With `modes` > 1 each class mixes that many templates, so a small sample
-    subset under-covers the class distribution. Class sizes are as equal as n
-    allows; samples are laid out class-major.
+    Class sizes are as equal as n allows; samples are laid out class-major.
     """
     if num_classes < 1 or n < num_classes:
         raise ValueError("need n >= num_classes >= 1")
     if spread <= 0:
         raise ValueError("spread must be positive")
-    if modes < 1:
-        raise ValueError("modes must be >= 1")
     sample_shape = (int(shape),) if np.isscalar(shape) else tuple(shape)
     rng = np.random.default_rng(seed)
-    centers = rng.uniform(0.2, 0.8, size=(num_classes, modes, *sample_shape))
+    centers = rng.uniform(0.2, 0.8, size=(num_classes, *sample_shape))
     counts = [n // num_classes + (1 if i < n % num_classes else 0) for i in range(num_classes)]
     images, labels = [], []
     for cls, count in enumerate(counts):
-        # modes == 1 draws nothing here, keeping older seeded datasets identical
-        which = rng.integers(0, modes, size=count) if modes > 1 else np.zeros(count, dtype=int)
-        pts = centers[cls, which] + rng.normal(0.0, spread, size=(count, *sample_shape))
+        pts = centers[cls] + rng.normal(0.0, spread, size=(count, *sample_shape))
         images.append(np.clip(pts, 0.0, 1.0))
         labels.append(np.full(count, cls, dtype=np.int64))
     return Dataset(
         images=np.concatenate(images).astype(np.float32),
         labels=np.concatenate(labels),
-        name=f"blobs-k{num_classes}-n{n}-m{modes}-s{seed}",
+        # "m1" (one template per class) stays in the name so that delta sidecars, which record it, keep their bytes
+        name=f"blobs-k{num_classes}-n{n}-m1-s{seed}",
     )
 
 
@@ -151,7 +135,7 @@ def minibatches(dataset, B, epoch_seed=0, labels=None):
     def batches():
         for start in range(0, n, B):
             idx = order[start : start + B]
-            yield Batch(X=dataset.images[idx], Y=None if Y is None else Y[idx], indices=idx)
+            yield Batch(X=dataset.images[idx], Y=Y[idx], indices=idx)
 
     return batches()
 

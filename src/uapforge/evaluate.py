@@ -5,10 +5,11 @@ samples whose argmax flips when the perturbation is added. Perturbed inputs
 are always clamped to the [0, 1] pixel box before the model sees them; clean
 accuracy and perturbed accuracy are carried as auxiliary fields only.
 
-`transfer_matrix` is the one evaluation loop and `fooling_ratio` one of its
-cells. D deltas against T targets take (D + 1) * T forward passes: each
-target predicts the clean samples once and each delta's clipped batch once.
-`AttackTarget.predict` is the only code that splits samples into chunks.
+`transfer_matrix` is the one evaluation loop. D deltas against T targets
+take (D + 1) * T forward passes: each target predicts the clean samples once
+and each delta's clipped batch once. `AttackTarget.predict` is the only code
+that splits samples into chunks. `fooling_ratio`, one cell of the matrix, is
+called by the benchmark alone; the CLI evaluates through `transfer_matrix`.
 """
 
 import json
@@ -28,10 +29,10 @@ class FoolingReport:
     n_evaluated: int
     n_changed: int
     fooling_ratio: float
-    surrogate: str = ""
-    clean_accuracy: float | None = None
-    perturbed_accuracy: float | None = None
-    n_correct_to_wrong: int | None = None
+    surrogate: str
+    clean_accuracy: float
+    perturbed_accuracy: float
+    n_correct_to_wrong: int
 
 
 @dataclass
@@ -75,17 +76,12 @@ def transfer_matrix(models, deltas, dataset):
         for (target_id, model), before in zip(models, clean):
             after = model.predict(perturbed)
             n_changed = int((before != after).sum())
-            labelled = {}
-            if Y is not None:
-                clean_ok, pert_ok = before == Y, after == Y
-                labelled = dict(
-                    clean_accuracy=int(clean_ok.sum()) / n,
-                    perturbed_accuracy=int(pert_ok.sum()) / n,
-                    n_correct_to_wrong=int((clean_ok & ~pert_ok).sum()),
-                )
+            clean_ok, pert_ok = before == Y, after == Y
             reports.append(FoolingReport(
                 model_id=target_id, dataset_fingerprint=dataset.fingerprint, delta_hash=delta_hash,
-                n_evaluated=n, n_changed=n_changed, fooling_ratio=n_changed / n, surrogate=tag, **labelled,
+                n_evaluated=n, n_changed=n_changed, fooling_ratio=n_changed / n, surrogate=tag,
+                clean_accuracy=int(clean_ok.sum()) / n, perturbed_accuracy=int(pert_ok.sum()) / n,
+                n_correct_to_wrong=int((clean_ok & ~pert_ok).sum()),
             ))
     t = len(models)
     ratios = [[r.fooling_ratio for r in reports[i * t : (i + 1) * t]] for i in range(len(deltas))]
@@ -109,15 +105,9 @@ def _round_floats(obj, places=4):
     return obj
 
 
-def _csv_rows(report):
-    if isinstance(report, FoolingReport):
-        rows = [report]
-    elif isinstance(report, TransferMatrix):
-        rows = report.reports
-    else:
-        raise TypeError(f"cannot serialize {type(report).__name__}")
+def _csv_rows(matrix):
     out = ["surrogate,target,fooling_ratio,n,dataset_fp,delta_hash"]
-    for r in rows:
+    for r in matrix.reports:
         out.append(
             f"{r.surrogate},{r.model_id},{r.fooling_ratio:.4f},{r.n_evaluated},"
             f"{r.dataset_fingerprint},{r.delta_hash}"
@@ -128,12 +118,12 @@ def _csv_rows(report):
 REPORT_FORMATS = ("json", "csv")
 
 
-def report_write(report, path, format="json"):
-    """Deterministic serialization: sorted keys, four decimal places."""
+def report_write(matrix, path, format="json"):
+    """Write a TransferMatrix deterministically: sorted keys, four decimal places."""
     if format == "json":
-        text = json.dumps(_round_floats(asdict(report)), indent=2, sort_keys=True)
+        text = json.dumps(_round_floats(asdict(matrix)), indent=2, sort_keys=True)
     elif format == "csv":
-        text = "\n".join(_csv_rows(report))
+        text = "\n".join(_csv_rows(matrix))
     else:
         raise ValueError(f"unknown report format {format!r}")
     write_atomic(path, (text + "\n").encode())

@@ -161,7 +161,7 @@ PREDICT_CHUNK = 1024
 
 
 class AttackTarget:
-    """Loss, loss gradient and chunked prediction shared by models and ensembles.
+    """Loss gradient and chunked prediction shared by models and ensembles.
 
     A subclass supplies `_check_input` (cast and validate a batch), `logits`
     and `_cross_entropy` (the loss Var of an input Var plus the parameter
@@ -177,10 +177,6 @@ class AttackTarget:
             stop = start + PREDICT_CHUNK
             out[start:stop] = np.argmax(self.logits(X[start:stop]), axis=1)
         return out
-
-    def loss(self, X, Y, delta=None):
-        loss_var, _, _ = self._loss_graph(X, Y, delta=delta)
-        return float(loss_var.value)
 
     def loss_grad(self, X, Y, wrt, delta=None, reduction="mean"):
         """Loss and its gradient w.r.t. one quantity.
@@ -344,8 +340,6 @@ def train_erm(model, dataset, epochs, lr, batch, seed=0):
         raise ValueError("lr must be positive")
     if epochs < 0:
         raise ValueError("epochs must be non-negative")
-    if dataset.labels is None:
-        raise ValueError("training requires ground-truth labels")
     X, Y = dataset.images, dataset.labels
     if Y.min() < 0 or Y.max() >= model.num_classes:
         raise ValueError("dataset labels outside the model's class range")

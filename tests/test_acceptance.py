@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from uapforge import attack as A
 from uapforge import autodiff as ad
 from uapforge import data as D
@@ -54,7 +55,7 @@ def _check_tape_grad(build_loss, x, seed, tol=REL_TOL):
     # the finite differences must probe the same function the tape differentiated
     again = float(build_loss(ad.leaf(x.copy())).value)
     assert again == float(value.value), f"{case}: loss not deterministic ({value.value} then {again})"
-    fd = ad.finite_difference_gradient(lambda a: float(build_loss(ad.leaf(a)).value), x.copy(), FD_H)
+    fd = oracles.finite_difference_gradient(lambda a: float(build_loss(ad.leaf(a)).value), x.copy(), FD_H)
     err = rel_err(var.grad, fd)
     assert err <= tol, f"{case}: rel err {err}"
     return err
@@ -134,15 +135,16 @@ def test_criterion_1_gradient_correctness():
         delta = rng.uniform(-0.1, 0.1, (1, 10, 10))
 
         _, g_theta = cnn.loss_grad(X, Y, "parameters")
-        fd_theta = ad.finite_difference_gradient(lambda th: cnn.with_params(th).loss(X, Y), theta.copy(), FD_H)
+        fd_theta = oracles.finite_difference_gradient(
+            lambda th: oracles.loss(cnn.with_params(th), X, Y), theta.copy(), FD_H)
         worst = max(worst, rel_err(g_theta, fd_theta))
 
         _, g_x = cnn.loss_grad(X, Y, "input")
-        fd_x = ad.finite_difference_gradient(lambda a: cnn.loss(a, Y), X.copy(), FD_H)
+        fd_x = oracles.finite_difference_gradient(lambda a: oracles.loss(cnn, a, Y), X.copy(), FD_H)
         worst = max(worst, rel_err(g_x, fd_x))
 
         _, g_d = cnn.loss_grad(X, Y, "perturbation", delta=delta)
-        fd_d = ad.finite_difference_gradient(lambda d: cnn.loss(X, Y, delta=d), delta.copy(), FD_H)
+        fd_d = oracles.finite_difference_gradient(lambda d: oracles.loss(cnn, X, Y, delta=d), delta.copy(), FD_H)
         worst = max(worst, rel_err(g_d, fd_d))
         cases += 3
         assert worst <= REL_TOL, f"seed {seed}: worst rel err {worst}"
@@ -174,7 +176,7 @@ def _experiment_seed(tmp_path, seed):
     blobs = D.synth_blobs(EXPERIMENT["classes"], EXPERIMENT["n"], sh,
                           EXPERIMENT["spread"], seed=1000 + seed)
     ip, lp = tmp_path / f"img{seed}.idx", tmp_path / f"lab{seed}.idx"
-    D.save_idx(blobs, ip, lp)
+    oracles.save_idx(blobs, ip, lp)
     full = D.load_idx(ip, lp)
     order = np.random.default_rng(seed).permutation(len(full))
     hold_idx = np.sort(order[: EXPERIMENT["holdout"]])
@@ -266,7 +268,7 @@ def test_criterion_4_inner_optimality_grid_oracle():
     rho_t = 0.3
     steps = A.step_schedule("model_first", 10, 10)
     model_star, _, _ = A.inner_minimize(m, X, Y, steps, rho_t, 0.0, rho_t / 10, 0.0)
-    got = model_star.loss(X, Y)
+    got = oracles.loss(model_star, X, Y)
     best = min(
         naive_ce(np.stack([X[:, 0] * th[0], X[:, 0] * th[1]], axis=1), Y)
         for th in m.params + ball_grid(rho_t)
@@ -280,7 +282,7 @@ def test_criterion_4_inner_optimality_grid_oracle():
     y = np.array([1])
     r_t = 0.25
     _, _, x_star = A.inner_minimize(md, x0, y, steps, 0.0, r_t, 0.0, 1.25 * r_t / 10)
-    got_d = md.loss(x_star, y)
+    got_d = oracles.loss(md, x_star, y)
     pts = x0 + ball_grid(r_t)
     logits = pts @ md.params.reshape(2, 2)
     z = logits - logits.max(axis=1, keepdims=True)

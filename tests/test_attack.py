@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from uapforge import attack as A
 from uapforge import data as D
 from uapforge import models as M
@@ -179,7 +180,7 @@ def test_inner_model_beats_grid_oracle():
     Y = rng.integers(0, 2, 6)
     rho_t = 0.3
     out = inner_model(m, X, Y, rho_t, 10)
-    achieved = out.loss(X, Y)
+    achieved = oracles.loss(out, X, Y)
     thetas = m.params + ball_grid(rho_t)  # [g, 2] candidate weight pairs
     w1 = thetas[:, 0][None, :] * X  # logits [x * w1_g] per sample, [6, g]
     w2 = thetas[:, 1][None, :] * X
@@ -229,7 +230,7 @@ def test_inner_data_beats_grid_oracle():
     y = np.array([1])
     r_t = 0.25
     out = inner_data(m, x0, y, r_t, 10)
-    achieved = m.loss(out, y)
+    achieved = oracles.loss(m, out, y)
     pts = x0 + ball_grid(r_t)
     W = m.params.reshape(2, 2)
     logits = pts @ W
@@ -262,7 +263,7 @@ def test_inner_data_clamp_box_keeps_edge_samples_in_box_and_ball():
     _, _, x_star = A.inner_minimize(m, X, Y, steps, 0.0, r_t, 0.0, 1.25 * r_t / 10, clamp_box=True)
     assert x_star.min() >= 0.0 and x_star.max() <= 1.0
     assert np.linalg.norm(x_star - X, axis=1).max() <= r_t + 1e-12
-    assert m.loss(x_star, Y) < m.loss(X, Y)
+    assert oracles.loss(m, x_star, Y) < oracles.loss(m, X, Y)
 
 
 def test_inner_data_step_is_one_loss_grad_and_l2_pgd_step():
@@ -376,10 +377,10 @@ def test_uap_updates_ascend_loss():
     X = rng.uniform(0.2, 0.8, (16, 2))
     Y = m.predict(X)
     uap = A.init_uap((2,), 0.3, seed=3)
-    before = m.loss(X, Y, delta=uap.delta)
+    before = oracles.loss(m, X, Y, delta=uap.delta)
     for _ in range(100):
         uap, _ = A.uap_update(uap, m, X, Y, gamma=1e-3)
-    after = m.loss(X, Y, delta=uap.delta)
+    after = oracles.loss(m, X, Y, delta=uap.delta)
     assert after >= before
 
 

@@ -140,6 +140,10 @@ OVERRIDES = {
     "set-dataset-seed-negative": ("set", "dataset.seed", -1, "train", 2),
     "set-subset-too-large": ("set", "dataset.subset_size", 99999, "train", 2),
     "set-subset-negative": ("set", "dataset.subset_size", -1, "train", 2),
+    # 0 is a size, not null: it reaches subset's range check before craft reads a checkpoint
+    "set-subset-zero-craft": ("set", "dataset.subset_size", 0, "craft", 2),
+    # the removed option is an unknown key
+    "set-modes-removed": ("set", "dataset.modes", 2, "train", 2),
     "set-idx-bad-magic": ("set", "dataset", {"source": "idx", "images": "bad.idx", "labels": "bad.idx"}, "train", 2),
     "set-lr-negative": ("set", "model.train.lr", -1, "train", 2),
     "set-hidden-zero": ("set", "model.hidden", 0, "train", 2),

@@ -6,8 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from uapforge import data as D
 from uapforge import models as M
+from uapforge.tensor import content_hash
 
 
 def write_idx_pair(tmp_path, images_u8, labels_u8):
@@ -42,7 +44,7 @@ def test_load_idx_fingerprint_is_the_images_fingerprint(tmp_path):
     ds = D.load_idx(*write_idx_pair(tmp_path, imgs, np.zeros(20, dtype=np.uint8)))
     assert ds.fingerprint == D.Dataset(images=ds.images.copy(), labels=ds.labels).fingerprint
     with pytest.raises(TypeError):
-        D.Dataset(images=ds.images, fingerprint="0" * 16)
+        D.Dataset(images=ds.images, labels=ds.labels, fingerprint="0" * 16)
 
 
 def test_load_idx_bad_magic(tmp_path):
@@ -86,20 +88,12 @@ def test_load_idx_short_header(tmp_path, images, labels):
 def test_idx_roundtrip(tmp_path):
     ds = D.synth_blobs(3, 30, (1, 6, 6), spread=0.1, seed=4)
     ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
-    D.save_idx(ds, ip, lp)
+    oracles.save_idx(ds, ip, lp)
     back = D.load_idx(ip, lp)
     assert back.images.shape == ds.images.shape
     assert np.array_equal(back.labels, ds.labels)
     # quantization to bytes is the only loss
     assert np.abs(back.images - ds.images).max() <= 0.5 / 255 + 1e-9
-
-
-def test_failed_idx_label_write_leaves_no_label_file(tmp_path, fail_writes):
-    ds = D.synth_blobs(3, 30, (1, 6, 6), spread=0.1, seed=4)
-    fail_writes("labels.idx")
-    with pytest.raises(OSError):
-        D.save_idx(ds, tmp_path / "images.idx", tmp_path / "labels.idx")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["images.idx"]
 
 
 # -- synthetic blobs -----------------------------------------------------------
@@ -111,6 +105,23 @@ def test_blobs_deterministic():
     assert a.images.tobytes() == b.images.tobytes()
     assert np.array_equal(a.labels, b.labels)
     assert a.fingerprint == b.fingerprint
+
+
+# (content_hash of the images, content_hash of the int64 label bytes, name) per (num_classes, n, shape, spread,
+# seed). They come from RNG draws alone (no BLAS), so they hold on any machine and guard the draw order.
+BLOB_HASHES = {
+    (3, 10, 5, 0.1, 7): ("ecb952c587064c370dc82307a6b04832861c9338", "49a69fd168971bdff4e9ba79b87db2920cb9b93a",
+                         "blobs-k3-n10-m1-s7"),
+    (4, 14, (2, 3, 3), 0.2, 5): ("58179f375a8c0f100ea28c56dd18644b7f6ddf0b", "5326a1a67d44d33c1bbba35c8974062ee16f0919",
+                                 "blobs-k4-n14-m1-s5"),
+}
+
+
+@pytest.mark.parametrize("k,n,shape,spread,seed", BLOB_HASHES)
+def test_blobs_pinned(k, n, shape, spread, seed):
+    ds = D.synth_blobs(k, n, shape, spread=spread, seed=seed)
+    want = BLOB_HASHES[k, n, shape, spread, seed]
+    assert (content_hash(ds.images), content_hash(ds.labels.tobytes()), ds.name) == want
 
 
 def test_blobs_small_spread_concentrates():
@@ -217,7 +228,6 @@ def test_take_slices_images_and_labels():
     assert part.name == "part"
     assert np.array_equal(part.images, ds.images[idx])
     assert np.array_equal(part.labels, ds.labels[idx])
-    assert D.Dataset(images=ds.images).take(idx, "bare").labels is None
 
 
 # -- pseudo-labels --------------------------------------------------------------------
@@ -255,7 +265,7 @@ def test_batch_pseudo_label_slices_match_cache():
 def test_dataset_rejects_out_of_range_values():
     for bad in (1.5, -0.5, np.nan):
         with pytest.raises(ValueError, match="outside"):
-            D.Dataset(images=np.array([[0.5], [bad]]))
+            D.Dataset(images=np.array([[0.5], [bad]]), labels=np.zeros(2, dtype=np.int64))
 
 
 def test_dataset_rejects_label_count_mismatch():

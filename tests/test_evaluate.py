@@ -42,7 +42,7 @@ def test_hand_enumeration_threshold_model():
     # delta -0.2 flip only the first (0.6 -> 0.4 stays >0... use threshold 0.5)
     m = M.build_model([M.dense(1, 2)], (1,), seed=0, dtype=np.float64)
     m = m.with_params(np.array([-1.0, 1.0, 0.5, -0.5]))  # decide sign of x - 0.5
-    ds = D.Dataset(images=np.array([[0.6], [0.1]]))
+    ds = D.Dataset(images=np.array([[0.6], [0.1]]), labels=np.array([1, 0]))
     rep = E.fooling_ratio(m, ds, np.array([-0.2]))
     assert rep.fooling_ratio == 0.5
 
@@ -146,25 +146,34 @@ def test_matrix_predicts_clean_samples_once_per_target(setup, monkeypatch):
 
 # -- report files ----------------------------------------------------------------
 
+CELL = E.FoolingReport(
+    model_id="target", dataset_fingerprint="fp", delta_hash="dh", n_evaluated=100, n_changed=12,
+    fooling_ratio=0.123456, surrogate="src", clean_accuracy=0.9, perturbed_accuracy=0.8, n_correct_to_wrong=11,
+)
+
+
+def one_by_one(report):
+    """The 1x1 transfer matrix whose one cell is `report`."""
+    return E.TransferMatrix(
+        surrogates=[report.surrogate], targets=[report.model_id], ratios=[[report.fooling_ratio]],
+        row_averages=[report.fooling_ratio], dataset_fingerprint=report.dataset_fingerprint, reports=[report],
+    )
+
 
 def test_json_roundtrip(tmp_path, setup):
     model, ds = setup
-    rep = E.fooling_ratio(model, ds, np.random.default_rng(13).uniform(-0.2, 0.2, 5), model_id="m0")
+    tm = E.transfer_matrix([("m0", model)], [("", np.random.default_rng(13).uniform(-0.2, 0.2, 5))], ds)
     path = tmp_path / "report.json"
-    E.report_write(rep, path, "json")
-    parsed = json.loads(path.read_text())
-    assert parsed["fooling_ratio"] == round(rep.fooling_ratio, 4)
+    E.report_write(tm, path, "json")
+    parsed = json.loads(path.read_text())["reports"][0]
+    assert parsed["fooling_ratio"] == round(tm.reports[0].fooling_ratio, 4)
     assert parsed["model_id"] == "m0"
     assert parsed["n_evaluated"] == len(ds)
 
 
 def test_csv_formatting(tmp_path):
-    rep = E.FoolingReport(
-        model_id="target", dataset_fingerprint="fp", delta_hash="dh",
-        n_evaluated=100, n_changed=12, fooling_ratio=0.123456, surrogate="src",
-    )
     path = tmp_path / "report.csv"
-    E.report_write(rep, path, "csv")
+    E.report_write(one_by_one(CELL), path, "csv")
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "surrogate,target,fooling_ratio,n,dataset_fp,delta_hash"
     assert lines[1] == "src,target,0.1235,100,fp,dh"
@@ -172,25 +181,23 @@ def test_csv_formatting(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_failed_report_write_leaves_no_file(tmp_path, fail_writes, fmt):
-    rep = E.FoolingReport(model_id="target", dataset_fingerprint="fp", delta_hash="dh",
-                          n_evaluated=100, n_changed=12, fooling_ratio=0.12)
     fail_writes(f"report.{fmt}")
     with pytest.raises(OSError):
-        E.report_write(rep, tmp_path / f"report.{fmt}", fmt)
+        E.report_write(one_by_one(CELL), tmp_path / f"report.{fmt}", fmt)
     assert list(tmp_path.iterdir()) == []
 
 
 def test_writes_deterministic(tmp_path, setup):
     model, ds = setup
-    rep = E.fooling_ratio(model, ds, np.random.default_rng(14).uniform(-0.2, 0.2, 5))
+    tm = E.transfer_matrix([("", model)], [("", np.random.default_rng(14).uniform(-0.2, 0.2, 5))], ds)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    E.report_write(rep, p1, "json")
-    E.report_write(rep, p2, "json")
+    E.report_write(tm, p1, "json")
+    E.report_write(tm, p2, "json")
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_unknown_format(tmp_path, setup):
     model, ds = setup
-    rep = E.fooling_ratio(model, ds, np.zeros(5))
+    tm = E.transfer_matrix([("", model)], [("", np.zeros(5))], ds)
     with pytest.raises(ValueError, match="format"):
-        E.report_write(rep, tmp_path / "x.bin", "parquet")
+        E.report_write(tm, tmp_path / "x.bin", "parquet")
