@@ -195,7 +195,7 @@ def uap_update(uap, model_star, X_star, Y, gamma):
 
 @dataclass
 class RunLog:
-    """Per-epoch crafting statistics."""
+    """Per-epoch crafting statistics; a craft runs at least one epoch, so there is always a row."""
 
     epochs: list = field(default_factory=list)
     total_seconds: float = 0.0
@@ -204,8 +204,6 @@ class RunLog:
         self.epochs.append(row)
 
     def summary(self):
-        if not self.epochs:
-            return {"epochs": 0, "total_seconds": self.total_seconds}
         return {
             "epochs": len(self.epochs),
             "final_mean_loss": self.epochs[-1]["mean_loss"],
@@ -216,11 +214,8 @@ class RunLog:
         }
 
     def csv(self):
-        """The per-epoch rows as CSV text with a header line."""
-        cols = [
-            "epoch", "rho_t", "r_t", "alpha_m", "alpha_d",
-            "mean_loss", "max_model_disp", "max_data_disp", "max_delta_inf", "seconds",
-        ]
+        """The per-epoch rows as CSV text under a header of their keys, in `add_epoch` order."""
+        cols = list(self.epochs[0])
         lines = [",".join(cols)]
         for row in self.epochs:
             lines.append(",".join(f"{row[c]:.6g}" if isinstance(row[c], float) else str(row[c]) for c in cols))

@@ -1,6 +1,7 @@
 """Small classifier models: definition, seeded init, ERM training, checkpoints.
 
-A model is a list of LayerSpec entries plus one flat parameter vector. The
+A model is a list of layers plus one flat parameter vector. A layer is the
+JSON object a checkpoint stores: its "kind" and that kind's keys. The
 forward graph is rebuilt per call on the autodiff tape; a shared
 perturbation shifts the batch before it becomes the input leaf. Parameters
 enter only through `with_params`:
@@ -9,6 +10,7 @@ parameter vector.
 """
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,141 +21,108 @@ from .errors import TrainingDiverged
 from .tensor import TensorFormatError, array_fingerprint, load_artifact, require_finite, save_artifact
 
 
-@dataclass(frozen=True)
-class LayerSpec:
-    kind: str
-    in_features: int = 0
-    out_features: int = 0
-    in_channels: int = 0
-    out_channels: int = 0
-    kernel: int = 0
-    bias: bool = True
-    mean: tuple = ()
-    std: tuple = ()
-
-    def to_dict(self):
-        d = {"kind": self.kind}
-        for key in ("in_features", "out_features", "in_channels", "out_channels", "kernel"):
-            if getattr(self, key):
-                d[key] = getattr(self, key)
-        if not self.bias:
-            d["bias"] = False
-        if self.kind == "normalize":
-            d["mean"] = list(self.mean)
-            d["std"] = list(self.std)
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        kw = dict(d)
-        if "mean" in kw:
-            kw["mean"] = tuple(kw["mean"])
-        if "std" in kw:
-            kw["std"] = tuple(kw["std"])
-        return cls(**kw)
-
-
 def dense(n_in, n_out, bias=True):
-    return LayerSpec("dense", in_features=n_in, out_features=n_out, bias=bias)
+    layer = {"kind": "dense", "in_features": n_in, "out_features": n_out}
+    if bias is not True:
+        layer["bias"] = bias
+    return layer
 
 
 def conv2d(c_in, c_out, kernel):
-    return LayerSpec("conv2d", in_channels=c_in, out_channels=c_out, kernel=kernel)
+    return {"kind": "conv2d", "in_channels": c_in, "out_channels": c_out, "kernel": kernel}
 
 
 def relu():
-    return LayerSpec("relu")
+    return {"kind": "relu"}
 
 
 def maxpool2():
-    return LayerSpec("maxpool2")
+    return {"kind": "maxpool2"}
 
 
 def flatten():
-    return LayerSpec("flatten")
+    return {"kind": "flatten"}
 
 
 def normalize(mean, std):
-    mean = tuple(float(m) for m in np.atleast_1d(mean))
-    std = tuple(float(s) for s in np.atleast_1d(std))
-    return LayerSpec("normalize", mean=mean, std=std)
+    return {"kind": "normalize", "mean": [float(m) for m in np.atleast_1d(mean)],
+            "std": [float(s) for s in np.atleast_1d(std)]}
 
 
-# the size fields each layer kind uses; each must be a positive int
-_SIZE_FIELDS = {"dense": ("in_features", "out_features"), "conv2d": ("in_channels", "out_channels", "kernel")}
+# the keys each layer kind takes besides "kind"; a dense layer may also give a bool "bias"
+_LAYER_KEYS = {
+    "dense": {"in_features", "out_features"},
+    "conv2d": {"in_channels", "out_channels", "kernel"},
+    "relu": set(),
+    "maxpool2": set(),
+    "flatten": set(),
+    "normalize": {"mean", "std"},
+}
 
 
-def infer_shapes(spec, input_shape):
-    """Walk the layer list and return the per-layer output shapes.
+def walk(spec, input_shape):
+    """Check a layer list against an input shape and lay out its parameters.
 
-    Raises ValueError if adjacent layers do not compose, a size the layer
-    uses is not a positive int, `bias` is not a bool, or a normalize layer's
-    constants are not finite with a positive std.
+    Returns (per-layer output shapes, layout, parameter count); the layout
+    holds (offset, shape, fan_in) of every weight and bias array in layer
+    order. Raises ValueError for an empty list, an unknown kind, a key the
+    kind does not take, a size that is not a positive int, a non-bool
+    `bias`, layers that do not compose, or normalize constants that are not
+    finite with a positive std.
     """
+    if not spec:
+        raise ValueError("a model needs at least one layer")
     shape = tuple(input_shape)
-    shapes = []
+    shapes, layout, count = [], [], 0
     for i, layer in enumerate(spec):
-        for key in _SIZE_FIELDS.get(layer.kind, ()):
-            size = getattr(layer, key)
-            if type(size) is not int or size < 1:
-                raise ValueError(f"layer {i} ({layer.kind}) {key} must be a positive int, got {size!r}")
-        if type(layer.bias) is not bool:
-            raise ValueError(f"layer {i} ({layer.kind}) bias must be a bool, got {layer.bias!r}")
-        if layer.kind == "dense":
-            if shape != (layer.in_features,):
-                raise ValueError(f"layer {i} (dense) expects ({layer.in_features},), got {shape}")
-            shape = (layer.out_features,)
-        elif layer.kind == "conv2d":
-            if len(shape) != 3 or shape[0] != layer.in_channels:
-                raise ValueError(f"layer {i} (conv2d) expects ({layer.in_channels}, H, W), got {shape}")
-            c, h, w = shape
-            k = layer.kernel
+        if not isinstance(layer, dict) or layer.get("kind") not in _LAYER_KEYS:
+            raise ValueError(f"layer {i} is not a layer of a known kind: {layer!r}")
+        kind = layer["kind"]
+        keys = set(layer) - {"kind"}
+        required = _LAYER_KEYS[kind]
+        if not required <= keys <= required | ({"bias"} if kind == "dense" else set()):
+            raise ValueError(f"layer {i} ({kind}) takes the keys {sorted(required)}, got {sorted(keys)}")
+        for key in sorted(required - {"mean", "std"}):
+            if type(layer[key]) is not int or layer[key] < 1:
+                raise ValueError(f"layer {i} ({kind}) {key} must be a positive int, got {layer[key]!r}")
+        bias = layer.get("bias", True)
+        if type(bias) is not bool:
+            raise ValueError(f"layer {i} ({kind}) bias must be a bool, got {bias!r}")
+        weights = []  # the shapes of this layer's parameter arrays, weight first
+        if kind == "dense":
+            n_in, n_out = layer["in_features"], layer["out_features"]
+            if shape != (n_in,):
+                raise ValueError(f"layer {i} (dense) expects ({n_in},), got {shape}")
+            shape = (n_out,)
+            fan_in = n_in
+            weights = [(n_in, n_out)] + ([(n_out,)] if bias else [])
+        elif kind == "conv2d":
+            c_in, c_out, k = layer["in_channels"], layer["out_channels"], layer["kernel"]
+            if len(shape) != 3 or shape[0] != c_in:
+                raise ValueError(f"layer {i} (conv2d) expects ({c_in}, H, W), got {shape}")
+            _, h, w = shape
             if h < k or w < k:
                 raise ValueError(f"layer {i} (conv2d) kernel {k} larger than input {h}x{w}")
-            shape = (layer.out_channels, h - k + 1, w - k + 1)
-        elif layer.kind == "relu":
-            pass
-        elif layer.kind == "maxpool2":
+            shape = (c_out, h - k + 1, w - k + 1)
+            fan_in = c_in * k * k
+            weights = [(c_out, c_in, k, k), (c_out,)]
+        elif kind == "maxpool2":
             if len(shape) != 3 or shape[1] < 2 or shape[2] < 2:
                 raise ValueError(f"layer {i} (maxpool2) needs a [C, H>=2, W>=2] input, got {shape}")
             shape = (shape[0], shape[1] // 2, shape[2] // 2)
-        elif layer.kind == "flatten":
-            shape = (int(np.prod(shape)),)
-        elif layer.kind == "normalize":
-            if len(shape) != 3 or len(layer.mean) != shape[0] or len(layer.std) != shape[0]:
+        elif kind == "flatten":
+            shape = (math.prod(shape),)
+        elif kind == "normalize":
+            mean, std = layer["mean"], layer["std"]
+            if len(shape) != 3 or len(mean) != shape[0] or len(std) != shape[0]:
                 raise ValueError(f"layer {i} (normalize) constants do not match {shape}")
-            if not (np.all(np.isfinite(layer.mean + layer.std)) and min(layer.std) > 0):
+            if not (np.all(np.isfinite(mean + std)) and min(std) > 0):
                 raise ValueError(f"layer {i} (normalize) needs finite constants and a positive std")
-        else:
-            raise ValueError(f"unknown layer kind {layer.kind!r}")
+        for w_shape in weights:
+            layout.append((count, w_shape, fan_in))
+            count += math.prod(w_shape)
         shapes.append(shape)
-    return shapes
-
-
-def _param_layout(spec):
-    """[(offset, shape, fan_in)] for every weight/bias array, in layer order, and the total count."""
-    layout = []
-    offset = 0
-    for layer in spec:
-        if layer.kind == "dense":
-            fan_in = layer.in_features
-            shapes = [(layer.in_features, layer.out_features)]
-            if layer.bias:
-                shapes.append((layer.out_features,))
-        elif layer.kind == "conv2d":
-            k = layer.kernel
-            fan_in = layer.in_channels * k * k
-            shapes = [(layer.out_channels, layer.in_channels, k, k), (layer.out_channels,)]
-        else:
-            continue
-        for shape in shapes:
-            layout.append((offset, shape, fan_in))
-            offset += int(np.prod(shape))
-    return layout, offset
-
-
-def param_count(spec):
-    return _param_layout(spec)[1]
+    return shapes, layout, count
 
 
 # Samples per forward pass in `predict`; bounds the activations held at once.
@@ -231,18 +200,32 @@ class AttackTarget:
 
 @dataclass
 class ModelState(AttackTarget):
-    """Layer list plus one flat parameter vector."""
+    """Layer list plus one flat parameter vector.
+
+    Making one is the one check of a model: `input_shape` is positive ints,
+    the layer list passes `walk`, its output is a vector of `num_classes`
+    logits and `params` has the layout's length.
+    """
 
     spec: tuple
     params: np.ndarray
     input_shape: tuple
     num_classes: int
     history: list = field(default_factory=list)
+    layout: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        expected = param_count(self.spec)
-        if self.params.shape != (expected,):
-            raise ValueError(f"params length {self.params.shape} != spec count ({expected},)")
+        self.spec = tuple(self.spec)
+        self.input_shape = tuple(self.input_shape)
+        if not self.input_shape or not all(type(n) is int and n > 0 for n in self.input_shape):
+            raise ValueError(f"input_shape must be positive ints, got {self.input_shape}")
+        shapes, self.layout, count = walk(self.spec, self.input_shape)
+        if type(self.num_classes) is not int or shapes[-1] != (self.num_classes,):
+            raise ValueError(
+                f"model output must be a logit vector of num_classes {self.num_classes!r}, got shape {shapes[-1]}"
+            )
+        if self.params.shape != (count,):
+            raise ValueError(f"params length {self.params.shape} != spec count ({count},)")
 
     def with_params(self, theta):
         """Same architecture, different flat parameter vector: the one way to
@@ -255,7 +238,7 @@ class ModelState(AttackTarget):
         return replace(self, params=np.asarray(theta, dtype=self.params.dtype), history=[])
 
     def fingerprint(self):
-        spec_blob = json.dumps([l.to_dict() for l in self.spec], sort_keys=True).encode()
+        spec_blob = json.dumps(list(self.spec), sort_keys=True).encode()
         return array_fingerprint(spec_blob, self.params)
 
     # -- the interface the attack and evaluation drive ------------------
@@ -277,27 +260,27 @@ class ModelState(AttackTarget):
         return X
 
     def _param_vars(self, needs):
-        layout, _ = _param_layout(self.spec)
-        return [ad.leaf(self.params[o : o + int(np.prod(s))].reshape(s), needs=needs) for o, s, _ in layout]
+        return [ad.leaf(self.params[o : o + math.prod(s)].reshape(s), needs=needs) for o, s, _ in self.layout]
 
     def _forward(self, x_var, pvars):
         h = x_var
         it = iter(pvars)
         for layer in self.spec:
-            if layer.kind == "dense":
+            kind = layer["kind"]
+            if kind == "dense":
                 h = ad.matmul(h, next(it))
-                if layer.bias:
+                if layer.get("bias", True):
                     h = ad.add(h, next(it))
-            elif layer.kind == "conv2d":
+            elif kind == "conv2d":
                 h = ad.conv2d(h, next(it), next(it))
-            elif layer.kind == "relu":
+            elif kind == "relu":
                 h = ad.relu(h)
-            elif layer.kind == "maxpool2":
+            elif kind == "maxpool2":
                 h = ad.maxpool2(h)
-            elif layer.kind == "flatten":
+            elif kind == "flatten":
                 h = ad.flatten(h)
-            elif layer.kind == "normalize":
-                h = ad.normalize(h, layer.mean, layer.std)
+            elif kind == "normalize":
+                h = ad.normalize(h, layer["mean"], layer["std"])
         return h
 
     def _cross_entropy(self, inp, Y, reduction, params_need):
@@ -311,23 +294,16 @@ def build_model(spec, input_shape, seed=0, dtype=np.float32):
     Weights and biases of each layer are drawn from U(-1/sqrt(fan_in),
     1/sqrt(fan_in)); identical (spec, seed) always yields identical params.
     """
-    spec = tuple(spec)
-    shapes = infer_shapes(spec, input_shape)
-    if len(shapes[-1]) != 1:
-        raise ValueError(f"model output must be a logit vector, got shape {shapes[-1]}")
+    shapes, layout, count = walk(spec, input_shape)
     rng = np.random.default_rng(seed)
-    layout, total = _param_layout(spec)
-    params = np.empty(total, dtype=np.float64)
+    params = np.empty(count, dtype=np.float64)
     for offset, shape, fan_in in layout:  # each layer's weight, then its bias when present
         bound = 1.0 / np.sqrt(fan_in)
-        n = int(np.prod(shape))
+        n = math.prod(shape)
         params[offset : offset + n] = rng.uniform(-bound, bound, size=n)
-    return ModelState(
-        spec=spec,
-        params=params.astype(dtype),
-        input_shape=tuple(input_shape),
-        num_classes=shapes[-1][0],
-    )
+    # the width of a logit vector; ModelState rejects any other output shape
+    num_classes = math.prod(shapes[-1])
+    return ModelState(spec=spec, params=params.astype(dtype), input_shape=input_shape, num_classes=num_classes)
 
 
 def train_erm(model, dataset, epochs, lr, batch, seed=0):
@@ -451,11 +427,10 @@ def make_architecture(name, input_shape, num_classes, hidden=32):
         # centering [0,1] pixels keeps plain SGD well conditioned
         spec = [normalize([0.5] * c, [0.5] * c),
                 conv2d(c, 8, 3), relu(), maxpool2(), conv2d(8, 16, 3), relu(), maxpool2(), flatten()]
-        head_in = int(np.prod(infer_shapes(spec, input_shape)[-1]))
-        spec += [dense(head_in, hidden), relu(), dense(hidden, num_classes)]
+        shapes, _, _ = walk(spec, input_shape)
+        spec += [dense(math.prod(shapes[-1]), hidden), relu(), dense(hidden, num_classes)]
     else:
         raise ValueError(f"unknown architecture {name!r}")
-    infer_shapes(spec, input_shape)
     return spec
 
 
@@ -465,7 +440,7 @@ def make_architecture(name, input_shape, num_classes, hidden=32):
 def save_checkpoint(model, path, extra=None):
     """Write params as a tensor artifact whose sidecar describes the model."""
     meta = {
-        "spec": [l.to_dict() for l in model.spec],
+        "spec": list(model.spec),
         "input_shape": list(model.input_shape),
         "num_classes": model.num_classes,
         "dtype": str(model.params.dtype),
@@ -481,12 +456,9 @@ def load_checkpoint(path):
     """(model, metadata) of a checkpoint; metadata that cannot describe the payload raises TensorFormatError."""
     params, meta = load_artifact(path)
     try:
-        spec = tuple(LayerSpec.from_dict(d) for d in meta["spec"])
-        input_shape = tuple(meta["input_shape"])
-        shapes = infer_shapes(spec, input_shape)
-        if not shapes or shapes[-1] != (meta["num_classes"],):
-            raise ValueError(f"num_classes {meta['num_classes']!r} is not the last layer's width")
-        model = ModelState(spec=spec, params=params, input_shape=input_shape, num_classes=meta["num_classes"])
+        model = ModelState(
+            spec=meta["spec"], params=params, input_shape=meta["input_shape"], num_classes=meta["num_classes"]
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise TensorFormatError(f"checkpoint {path}: bad metadata ({type(exc).__name__}: {exc})") from exc
     return model, meta

@@ -517,6 +517,18 @@ def _string_bias(meta):
     meta["spec"][1]["bias"] = "no"
 
 
+def _float_input_shape(meta):
+    meta["input_shape"] = [float(n) for n in meta["input_shape"]]
+
+
+def _dense_kernel(meta):
+    meta["spec"][1]["kernel"] = 3  # a key the dense kind does not take
+
+
+def _float_num_classes(meta):
+    meta["num_classes"] = float(meta["num_classes"])
+
+
 def _config_not_object(meta):
     meta["config"] = 5
 
@@ -543,6 +555,9 @@ BAD_SIDECARS = {
     "eval-checkpoint-zero-std": ("eval", "checkpoint", _zero_std_normalize_first),
     "craft-checkpoint-float-width": ("craft", "checkpoint", _float_hidden_width),
     "craft-checkpoint-string-bias": ("craft", "checkpoint", _string_bias),
+    "craft-checkpoint-float-input-shape": ("craft", "checkpoint", _float_input_shape),
+    "craft-checkpoint-extra-layer-key": ("craft", "checkpoint", _dense_kernel),
+    "eval-checkpoint-float-num-classes": ("eval", "checkpoint", _float_num_classes),
     "eval-delta-config-not-object-hash-ok": ("eval", "delta", _config_not_object),
     "eval-delta-fingerprint-only": ("eval", "delta", _fingerprint_only),
     "verify-delta-empty-object": ("verify", "delta", "{}"),

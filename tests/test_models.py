@@ -13,12 +13,12 @@ from uapforge.tensor import array_fingerprint, content_hash
 
 def naive_forward(model, x):
     """Plain-loop re-implementation of the forward pass for one sample."""
-    layout, _ = M._param_layout(model.spec)
+    _, layout, _ = M.walk(model.spec, model.input_shape)
     arrays = [model.params[o : o + int(np.prod(s))].reshape(s) for o, s, _ in layout]
     it = iter(arrays)
     h = np.array(x, dtype=np.float64)
     for layer in model.spec:
-        if layer.kind == "dense":
+        if layer["kind"] == "dense":
             W, b = next(it), next(it)
             out = np.zeros(W.shape[1])
             for j in range(W.shape[1]):
@@ -27,7 +27,7 @@ def naive_forward(model, x):
                     acc += h[i] * W[i, j]
                 out[j] = acc + b[j]
             h = out
-        elif layer.kind == "conv2d":
+        elif layer["kind"] == "conv2d":
             W, b = next(it), next(it)
             outc, inc, kh, kw = W.shape
             _, H, Wd = h.shape
@@ -42,9 +42,9 @@ def naive_forward(model, x):
                                     acc += h[ci, r + u, c + v] * W[o, ci, u, v]
                         out[o, r, c] = acc + b[o]
             h = out
-        elif layer.kind == "relu":
+        elif layer["kind"] == "relu":
             h = np.maximum(h, 0.0)
-        elif layer.kind == "maxpool2":
+        elif layer["kind"] == "maxpool2":
             C, H, Wd = h.shape
             out = np.zeros((C, H // 2, Wd // 2))
             for ci in range(C):
@@ -55,11 +55,11 @@ def naive_forward(model, x):
                             h[ci, 2 * r + 1, 2 * c], h[ci, 2 * r + 1, 2 * c + 1],
                         )
             h = out
-        elif layer.kind == "flatten":
+        elif layer["kind"] == "flatten":
             h = h.reshape(-1)
-        elif layer.kind == "normalize":
-            mean = np.array(layer.mean).reshape(-1, 1, 1)
-            std = np.array(layer.std).reshape(-1, 1, 1)
+        elif layer["kind"] == "normalize":
+            mean = np.array(layer["mean"]).reshape(-1, 1, 1)
+            std = np.array(layer["std"]).reshape(-1, 1, 1)
             h = (h - mean) / std
     return h
 
@@ -88,7 +88,7 @@ def test_dense_param_count():
 
 def test_conv_param_count():
     m = M.build_model([M.conv2d(1, 8, 3), M.flatten(), M.dense(8 * 26 * 26, 2)], (1, 28, 28), seed=0)
-    layout, _ = M._param_layout(m.spec)
+    _, layout, _ = M.walk(m.spec, m.input_shape)
     assert int(np.prod(layout[0][1])) == 72 and int(np.prod(layout[1][1])) == 8
 
 
@@ -109,13 +109,15 @@ BAD_LAYERS = {
     "zero-std": ([M.normalize([0.5], [0.0]), M.flatten(), M.dense(16, 3)], "normalize"),
     "nan-mean": ([M.normalize([np.nan], [0.5]), M.flatten(), M.dense(16, 3)], "normalize"),
     "inf-std": ([M.normalize([0.5], [np.inf]), M.flatten(), M.dense(16, 3)], "normalize"),
+    "extra-key": ([M.flatten(), {**M.dense(16, 3), "kernel": 3}], "keys"),
+    "unknown-kind": ([{"kind": "softmax"}, M.flatten(), M.dense(16, 3)], "known kind"),
 }
 
 
 @pytest.mark.parametrize("spec,match", BAD_LAYERS.values(), ids=BAD_LAYERS.keys())
 def test_infer_shapes_rejects_bad_layer_fields(spec, match):
     with pytest.raises(ValueError, match=match):
-        M.infer_shapes(spec, (1, 4, 4))
+        M.walk(spec, (1, 4, 4))
     with pytest.raises(ValueError, match=match):
         M.build_model(spec, (1, 4, 4), seed=0)
 
@@ -476,6 +478,17 @@ def test_build_model_params_pinned(arch, dtype):
     spec = M.make_architecture(arch, (1, 16, 16), 3, hidden=12)
     model = M.build_model(spec, (1, 16, 16), seed=7, dtype=dtype)
     assert content_hash(model.params) == INIT_PARAM_HASHES[arch, dtype]
+
+
+# fingerprint() of the same float32 models: it hashes the spec JSON too, so these guard the layer objects' bytes
+FINGERPRINTS = {"linear": "6c74e0e4bf967b05", "mlp": "8646b3935c21d271", "cnn_small": "a1ac841f49e6988f"}
+
+
+@pytest.mark.parametrize("arch", FINGERPRINTS)
+def test_fingerprint_pinned(arch):
+    spec = M.make_architecture(arch, (1, 16, 16), 3, hidden=12)
+    model = M.build_model(spec, (1, 16, 16), seed=7, dtype=np.float32)
+    assert model.fingerprint() == FINGERPRINTS[arch]
 
 
 def test_fingerprint_changes_with_params():
