@@ -15,7 +15,9 @@ dtype, and the step it feeds is computed in float64. So on a float32
 surrogate every gradient of a mini-batch runs at float32.
 """
 
+import itertools
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -230,6 +232,13 @@ def _subseed(seed, tag):
     return _SEED_SALTS[tag] ^ seed
 
 
+def _pairs(batches):
+    """The batches two at a time, in order; an odd last batch comes alone."""
+    batches = iter(batches)
+    for first in batches:
+        yield (first, *itertools.islice(batches, 1))
+
+
 def craft(config, model_or_models, dataset):
     """Run the full crafting loop and return (delta, RunLog).
 
@@ -239,6 +248,14 @@ def craft(config, model_or_models, dataset):
     Adam ascent step on delta. Ball and clamp invariants are checked after
     every batch, on the float64 theta-star and samples; a violation raises
     CraftingFailed.
+
+    The inner minimization never reads delta, so the batches run two at a
+    time: one worker thread minimizes the second batch of a pair while the
+    calling thread minimizes the first. The ascent steps, checks and log
+    rows then follow in batch order, and every batch runs the same
+    operations, so the bytes do not depend on the pairing. A failure is
+    raised for the first failing batch in order; the worker's result is
+    waited for and dropped, and the thread has exited when craft returns.
     """
     target = as_attack_target(model_or_models)
     if dataset.sample_shape != target.input_shape:
@@ -252,46 +269,53 @@ def craft(config, model_or_models, dataset):
     shuffle_seed = _subseed(resolved.seed, "shuffle")
     steps = step_schedule(resolved.order, resolved.k_model, resolved.k_data)
     log = RunLog()
+
+    def minimize(batch, budgets):
+        # errstate is per thread; a step that goes non-finite is reported by the finiteness checks, not numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return inner_minimize(target, batch.X, batch.Y, steps, *budgets, resolved.clamp_data_box)
+
     start_total = time.perf_counter()
-    for t in range(1, resolved.epochs + 1):
-        rho_t, r_t, alpha_m, alpha_d = schedule(resolved, t)
-        epoch_start = time.perf_counter()
-        losses, model_disps, data_disps = [], [0.0], [0.0]
-        for batch in minibatches(dataset, resolved.batch_size, epoch_seed=shuffle_seed ^ t, labels=labels):
-            try:
-                # a step that goes non-finite is reported by the finiteness checks, not numpy warnings
-                with np.errstate(over="ignore", invalid="ignore"):
-                    model_star, theta_star, x_star = inner_minimize(
-                        target, batch.X, batch.Y, steps, rho_t, r_t, alpha_m, alpha_d, resolved.clamp_data_box
-                    )
-                    uap, loss = uap_update(uap, model_star, x_star, batch.Y, resolved.gamma)
-            except (ValueError, FloatingPointError) as exc:
-                raise CraftingFailed(f"epoch {t}, batch indices {batch.indices[:4]}...: {exc}") from exc
-            model_disp = 0.0 if theta_star is None else l2_norm(theta_star - theta0)
-            data_disp = 0.0 if x_star is batch.X else float(sample_norms(x_star - batch.X).max())
-            delta_inf = float(np.abs(uap.delta).max())
-            for name, value, bound in (
-                ("l-infinity", delta_inf, uap.epsilon),
-                ("model neighborhood", model_disp, rho_t + 1e-6),
-                ("data neighborhood", data_disp, r_t + 1e-6),
-            ):
-                if not value <= bound:
-                    raise CraftingFailed(f"epoch {t}: {name} budget violated ({value!r} > {bound!r})")
-            losses.append(loss)
-            model_disps.append(model_disp)
-            data_disps.append(data_disp)
-        log.add_epoch(
-            epoch=t,
-            rho_t=rho_t,
-            r_t=r_t,
-            alpha_m=alpha_m,
-            alpha_d=alpha_d,
-            mean_loss=float(np.mean(losses)),
-            max_model_disp=max(model_disps),
-            max_data_disp=max(data_disps),
-            max_delta_inf=float(np.abs(uap.delta).max()),
-            seconds=time.perf_counter() - epoch_start,
-        )
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for t in range(1, resolved.epochs + 1):
+            budgets = schedule(resolved, t)
+            rho_t, r_t, alpha_m, alpha_d = budgets
+            epoch_start = time.perf_counter()
+            losses, model_disps, data_disps = [], [0.0], [0.0]
+            for pair in _pairs(minibatches(dataset, resolved.batch_size, epoch_seed=shuffle_seed ^ t, labels=labels)):
+                second = [worker.submit(minimize, batch, budgets) for batch in pair[1:]]
+                for batch, future in zip(pair, [None, *second]):
+                    try:
+                        model_star, theta_star, x_star = minimize(batch, budgets) if future is None else future.result()
+                        with np.errstate(over="ignore", invalid="ignore"):
+                            uap, loss = uap_update(uap, model_star, x_star, batch.Y, resolved.gamma)
+                    except (ValueError, FloatingPointError) as exc:
+                        raise CraftingFailed(f"epoch {t}, batch indices {batch.indices[:4]}...: {exc}") from exc
+                    model_disp = 0.0 if theta_star is None else l2_norm(theta_star - theta0)
+                    data_disp = 0.0 if x_star is batch.X else float(sample_norms(x_star - batch.X).max())
+                    delta_inf = float(np.abs(uap.delta).max())
+                    for name, value, bound in (
+                        ("l-infinity", delta_inf, uap.epsilon),
+                        ("model neighborhood", model_disp, rho_t + 1e-6),
+                        ("data neighborhood", data_disp, r_t + 1e-6),
+                    ):
+                        if not value <= bound:
+                            raise CraftingFailed(f"epoch {t}: {name} budget violated ({value!r} > {bound!r})")
+                    losses.append(loss)
+                    model_disps.append(model_disp)
+                    data_disps.append(data_disp)
+            log.add_epoch(
+                epoch=t,
+                rho_t=rho_t,
+                r_t=r_t,
+                alpha_m=alpha_m,
+                alpha_d=alpha_d,
+                mean_loss=float(np.mean(losses)),
+                max_model_disp=max(model_disps),
+                max_data_disp=max(data_disps),
+                max_delta_inf=float(np.abs(uap.delta).max()),
+                seconds=time.perf_counter() - epoch_start,
+            )
     log.total_seconds = time.perf_counter() - start_total
     return uap.delta, log
 

@@ -8,7 +8,9 @@ Only the gradients asked for are computed. A leaf says whether it needs a
 gradient (`leaf(value, needs=...)`); any other node needs one when one of its
 parents does. `backward` visits only nodes that need a gradient, and each vjp
 returns None, skipping the work, for a parent that needs none, so such a
-parent's `grad` stays None.
+parent's `grad` stays None. A node that needs no gradient keeps neither its
+parents nor its vjp, so a forward-only graph frees each layer's arrays as soon
+as the next layer exists.
 
 The primitive set is fixed to what a small classifier needs: matmul, 2-D
 convolution (stride 1, no padding), bias add, ReLU, 2x2 max-pool, flatten,
@@ -33,10 +35,11 @@ class Var:
 
     def __init__(self, value, parents=(), vjp=None, needs=False):
         self.value = value
-        self.parents = parents
-        self.vjp = vjp  # callable(grad_out) -> one gradient, or None, per parent
-        self.grad = None
         self.needs = needs or any(p.needs for p in parents)
+        # backward never visits a node that needs no gradient: drop what its vjp would read
+        self.parents = parents if self.needs else ()
+        self.vjp = vjp if self.needs else None  # callable(grad_out) -> one gradient, or None, per parent
+        self.grad = None
 
 
 def leaf(value, needs=True):

@@ -9,9 +9,10 @@ the attack's theta-star and each ERM step are the same model at another
 parameter vector.
 """
 
+import copy
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -233,9 +234,16 @@ class ModelState(AttackTarget):
 
         The new model keeps this model's dtype and `theta` is cast to it, so
         the attack can hold theta-star in float64 while every gradient runs at
-        the surrogate's own precision.
+        the surrogate's own precision. Only the parameters change, so the new
+        model shares this one's checked layer list, shapes and layout and
+        only `theta`'s length is checked again.
         """
-        return replace(self, params=np.asarray(theta, dtype=self.params.dtype), history=[])
+        theta = np.asarray(theta, dtype=self.params.dtype)
+        if theta.shape != self.params.shape:
+            raise ValueError(f"params length {theta.shape} != spec count {self.params.shape}")
+        model = copy.copy(self)
+        model.params, model.history = theta, []
+        return model
 
     def fingerprint(self):
         spec_blob = json.dumps(list(self.spec), sort_keys=True).encode()

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -458,6 +459,32 @@ def test_craft_budget_violation_raises(blob_setup, monkeypatch):
         A.craft(tiny_config(), model, ds)
 
 
+@pytest.mark.parametrize("failing", [{0}, {1}, {0, 1}])
+def test_craft_failure_names_the_first_failing_batch_and_waits_for_the_pair(blob_setup, monkeypatch, failing):
+    # the 48 samples in batches of 16: batches 0 and 1 of epoch 1 are a pair, minimized on two threads
+    model, ds = blob_setup
+    config = tiny_config()
+    batches = list(D.minibatches(ds, config.batch_size, epoch_seed=A._subseed(config.seed, "shuffle") ^ 1))
+    inner, finished = A.inner_minimize, []
+
+    def failing_inner(target, X, Y, *args):
+        out = inner(target, X, Y, *args)
+        i = next(i for i, b in enumerate(batches) if b.X.tobytes() == X.tobytes())
+        finished.append(i)
+        if i in failing:
+            raise ValueError("non-finite loss")
+        return out
+
+    monkeypatch.setattr(A, "inner_minimize", failing_inner)
+    threads = threading.active_count()
+    first = min(failing)
+    with pytest.raises(CraftingFailed) as failed:
+        A.craft(config, model, ds)
+    assert str(failed.value) == f"epoch 1, batch indices {batches[first].indices[:4]}...: non-finite loss"
+    # the pair's other minimization was waited for, and the worker thread has exited
+    assert sorted(finished) == [0, 1] and threading.active_count() == threads
+
+
 # a tiny craft whose ascent step leaves the l-infinity ball; prints the optimize flag and the error
 _ESCAPING_CRAFT = """
 import sys
@@ -526,16 +553,51 @@ def test_craft_rejects_shape_mismatch(blob_setup):
         A.craft(tiny_config(), model, other)
 
 
-def test_craft_ensemble(blob_setup):
-    model, ds = blob_setup
-    other = M.train_erm(
+def second_member(ds):
+    """A second trained surrogate for two-model ensembles on the blob data."""
+    return M.train_erm(
         M.build_model([M.dense(6, 10), M.relu(), M.dense(10, 3)], (6,), seed=9),
         ds, epochs=8, lr=0.3, batch=16, seed=3,
     )
-    delta, log = A.craft(tiny_config(epochs=2), [model, other], ds)
+
+
+def test_craft_ensemble(blob_setup):
+    model, ds = blob_setup
+    delta, log = A.craft(tiny_config(epochs=2), [model, second_member(ds)], ds)
     assert delta.shape == (6,)
     assert np.abs(delta).max() <= 0.08
     assert len(log.epochs) == 2
+
+
+def log_without_seconds(log):
+    """The run log's CSV text less its `seconds` column, the one column that varies between equal runs."""
+    rows = [line.split(",") for line in log.csv().splitlines()]
+    drop = rows[0].index("seconds")
+    return "\n".join(",".join(v for i, v in enumerate(row) if i != drop) for row in rows) + "\n"
+
+
+# content_hash of the delta and of the run log less `seconds`, for crafts on the 48 blob samples whose
+# epochs hold several batches: dm in 3 batches (a pair, then a lone batch), an alternating two-model
+# ensemble in 4 and spgd, which takes no inner step, in 5. The hashes were recorded when every batch's
+# inner minimization ran on the calling thread, one batch after another.
+MULTI_BATCH_CRAFTS = {
+    "dm-3-batches": (dict(), False, "20c0dda6dc2b9ffd1f0b1cf9b15798eeaf8f6a95",
+                     "28c725d2b1d5f0f55ec34175fd5ed6a0c6326376"),
+    "ensemble-alternating-4-batches": (dict(order="alternating", batch_size=12), True,
+                                       "14f094589209f9e5925fed3503683bd3f03ce980",
+                                       "5c7b16793519c860abac2167a2a293ace05131d4"),
+    "spgd-5-batches": (dict(batch_size=10, rho=0.0, r=0.0, variant="spgd"), False,
+                       "9a31f456d4e108b4f9fd16386e855813b0eca316",
+                       "ac59ed6b025c8ea29906a625521533e10b819d85"),
+}
+
+
+@pytest.mark.parametrize("name", MULTI_BATCH_CRAFTS)
+def test_multi_batch_craft_bytes_pinned(blob_setup, name):
+    model, ds = blob_setup
+    overrides, ensemble, delta_hash, log_hash = MULTI_BATCH_CRAFTS[name]
+    delta, log = A.craft(tiny_config(**overrides), [model, second_member(ds)] if ensemble else model, ds)
+    assert (content_hash(delta), content_hash(log_without_seconds(log).encode())) == (delta_hash, log_hash)
 
 
 def test_craft_parameterless_model_takes_no_model_step():

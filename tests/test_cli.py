@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import threading
 from dataclasses import replace
 from unittest import mock
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from uapforge import attack as A
 from uapforge import cli
 from uapforge import config as C
+from uapforge import data as D
 from uapforge import evaluate as E
 from uapforge import models as M
 from uapforge import tensor as T
@@ -369,6 +371,22 @@ def test_craft_numeric_failure_exits_4_with_one_error_line(workdir, capsys):
     assert cli.main(["--config", "run.json", "--set", "attack.rho=1e308", "craft"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: epoch 1, ") and err.count("\n") == 1, err
+    assert delta_paths(workdir) == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_craft_failing_in_both_batches_of_a_pair_names_the_first(workdir, capsys):
+    # 30 crafting samples in batches of 10: the first pair's two inner minimizations both go non-finite
+    sets = ['dataset={"n": 40, "subset_size": null}', "attack.batch_size=10"]
+    argv = ["--config", "run.json"] + [arg for value in sets for arg in ("--set", value)]
+    assert cli.main([*argv, "train"]) == 0
+    capsys.readouterr()
+    threads = threading.active_count()
+    assert cli.main([*argv, "--set", "attack.rho=1e308", "craft"]) == 4
+    assert threading.active_count() == threads
+    craft_ds, _, _ = cli.load_datasets(C.load_config("run.json", sets=sets))
+    first = next(D.minibatches(craft_ds, 10, epoch_seed=A._subseed(3, "shuffle") ^ 1))
+    assert capsys.readouterr().err == f"error: epoch 1, batch indices {first.indices[:4]}...: non-finite loss\n"
     assert delta_paths(workdir) == []
 
 

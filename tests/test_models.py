@@ -279,7 +279,7 @@ def test_perturbation_shifts_the_one_input_leaf():
     rng = np.random.default_rng(8)
     X = rng.uniform(0, 1, (5, 1, 8, 8))
     delta = rng.uniform(-0.1, 0.1, (1, 8, 8))
-    loss_var, x_var, pvars = m._loss_graph(X, rng.integers(0, 4, 5), delta=delta)
+    loss_var, x_var, pvars = m._loss_graph(X, rng.integers(0, 4, 5), delta=delta, wrt="perturbation")
     nodes = graph_nodes(loss_var)
     assert {id(n) for n in nodes if not n.parents} == {id(x_var)} | {id(p) for p in pvars}
     assert np.array_equal(x_var.value, X + delta)
@@ -287,6 +287,44 @@ def test_perturbation_shifts_the_one_input_leaf():
     adds = [n for n in nodes if n.vjp is not None and n.vjp.__qualname__.startswith("add.")]
     assert len(adds) == 2
     assert all(n.parents[0] is not x_var and any(n.parents[1] is p for p in pvars) for n in adds)
+
+
+@pytest.fixture()
+def built_vars(monkeypatch):
+    """Every Var made while the fixture is active, with the parents and vjp it was made with."""
+    built = []
+    init = ad.Var.__init__
+
+    def recording(self, value, parents=(), vjp=None, needs=False):
+        init(self, value, parents, vjp, needs)
+        built.append((self, parents, vjp))
+
+    monkeypatch.setattr(ad.Var, "__init__", recording)
+    return built
+
+
+@pytest.mark.parametrize("graph", ["loss-graph", "logits"])
+def test_graph_that_needs_no_gradient_keeps_no_parents(built_vars, graph):
+    # no node is visited by backward, so none holds its parents or the arrays its vjp would read
+    m = M.build_model(CNN_SPEC, (1, 8, 8), seed=3)
+    X = np.random.default_rng(8).uniform(0, 1, (5, 1, 8, 8))
+    if graph == "logits":
+        m.logits(X)
+    else:
+        m._loss_graph(X, np.arange(5) % 4, delta=np.zeros((1, 8, 8)))
+    assert len(built_vars) > len(CNN_SPEC)
+    assert all(not node.needs and node.parents == () and node.vjp is None for node, _, _ in built_vars)
+
+
+def test_perturbation_graph_keeps_every_node_that_needs_a_gradient(built_vars):
+    m = M.build_model(CNN_SPEC, (1, 8, 8), seed=3)
+    X = np.random.default_rng(8).uniform(0, 1, (5, 1, 8, 8))
+    m._loss_graph(X, np.arange(5) % 4, delta=np.zeros((1, 8, 8)), wrt="perturbation")
+    needed = [(node, parents, vjp) for node, parents, vjp in built_vars if node.needs]
+    # the input leaf, one node per layer, one per dense layer's bias add, and the loss
+    assert len(needed) == 1 + len(CNN_SPEC) + 2 + 1
+    assert all(node.parents is parents and node.vjp is vjp for node, parents, vjp in needed)
+    assert all(node.parents and node.vjp is not None for node, _, _ in needed[1:])
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -426,6 +464,20 @@ def test_with_params_keeps_each_models_dtype():
     ens = M.Ensemble((m32, m64)).with_params(np.concatenate([theta, theta]))
     assert [m.params.dtype for m in ens.models] == [np.float32, np.float64]
     assert ens.flat_params().tobytes() == np.concatenate([theta.astype(np.float32), theta]).tobytes()
+
+
+def test_with_params_checks_only_the_length_and_shares_the_checked_layers():
+    m = M.build_model([M.dense(4, 3)], (4,), seed=1, dtype=np.float32)
+    m.history = [{"epoch": 1}]
+    moved = m.with_params(np.zeros(15))
+    assert moved.spec is m.spec and moved.layout is m.layout and moved.history == [] and m.history
+    for bad in (np.zeros(14), np.zeros((1, 15))):
+        # the error a model made with those parameters raises
+        with pytest.raises(ValueError) as made:
+            M.ModelState(spec=m.spec, params=bad, input_shape=m.input_shape, num_classes=m.num_classes)
+        with pytest.raises(ValueError) as moved_to:
+            m.with_params(bad)
+        assert str(moved_to.value) == str(made.value) == f"params length {bad.shape} != spec count (15,)"
 
 
 def test_ensemble_rejects_empty_and_mismatched():
