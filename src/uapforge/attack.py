@@ -67,8 +67,8 @@ class AttackConfig:
     variant: str = "dm-uap"
 
     def __post_init__(self):
-        if self.epsilon < 0 or self.rho < 0 or self.r < 0:
-            raise ValueError("epsilon, rho and r must be non-negative")
+        if self.epsilon < 0 or self.rho < 0 or self.r < 0 or self.seed < 0:
+            raise ValueError("epsilon, rho, r and seed must be non-negative")
         if min(self.epochs, self.batch_size, self.k_model, self.k_data) < 1:
             raise ValueError("epochs, batch_size, k_model and k_data must be >= 1")
         if self.gamma <= 0:
@@ -119,7 +119,10 @@ class UAPState:
 def init_uap(sample_shape, epsilon, seed=0):
     """delta drawn uniformly from (-epsilon, epsilon), fresh Adam moments."""
     rng = np.random.default_rng(seed)
-    delta = rng.uniform(-epsilon, epsilon, size=sample_shape)
+    try:
+        delta = rng.uniform(-epsilon, epsilon, size=sample_shape)
+    except OverflowError as exc:  # 2 * epsilon is beyond the largest float64
+        raise CraftingFailed(f"epsilon {epsilon!r} is too large to draw delta from (-epsilon, epsilon)") from exc
     return UAPState(delta=delta, adam=AdamState.zeros(sample_shape), epsilon=float(epsilon))
 
 

@@ -40,8 +40,19 @@ def _out_path(cfg, kind, name):
 
 
 def load_datasets(cfg):
-    """Materialize (crafting dataset, training dataset, holdout dataset) from the config."""
-    section = C.validate_dataset_section(cfg)
+    """Materialize (crafting dataset, training dataset, holdout dataset) from the config's dataset section."""
+    section = cfg["dataset"]
+    if section["source"] == "idx":
+        for key in ("images", "labels"):
+            if not section[key]:
+                raise ConfigError(f"dataset.source 'idx' requires dataset.{key}")
+    elif section["source"] == "synth":
+        if section["num_classes"] < 2 or section["n"] < section["num_classes"]:
+            raise ConfigError("dataset.synth needs num_classes >= 2 and n >= num_classes")
+    else:
+        raise ConfigError(f"unknown dataset.source {section['source']!r}")
+    if not 0.0 <= section["holdout_fraction"] < 1.0:
+        raise ConfigError("dataset.holdout_fraction must be in [0, 1)")
     try:
         if section["source"] == "idx":
             full = D.load_idx(section["images"], section["labels"])

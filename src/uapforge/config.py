@@ -162,18 +162,3 @@ def attack_config(cfg):
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid attack section: {exc}") from exc
 
-
-def validate_dataset_section(cfg):
-    ds = cfg["dataset"]
-    if ds["source"] == "idx":
-        for key in ("images", "labels"):
-            if not ds[key]:
-                raise ConfigError(f"dataset.source 'idx' requires dataset.{key}")
-    elif ds["source"] == "synth":
-        if ds["num_classes"] < 2 or ds["n"] < ds["num_classes"]:
-            raise ConfigError("dataset.synth needs num_classes >= 2 and n >= num_classes")
-    else:
-        raise ConfigError(f"unknown dataset.source {ds['source']!r}")
-    if not 0.0 <= ds["holdout_fraction"] < 1.0:
-        raise ConfigError("dataset.holdout_fraction must be in [0, 1)")
-    return ds

@@ -1,16 +1,18 @@
-"""Dataset ingestion, synthetic data, seeded mini-batches, pseudo-label cache.
+"""Dataset ingestion, synthetic data, seeded mini-batches, pseudo-labels.
 
 Images are float arrays in [0, 1] with shape [n, C, H, W] (or [n, d] for flat
 synthetic data), and every sample has a label: both sources, IDX files (read
-with tensor.read_file) and synthetic blobs, give one. Every dataset carries a
-fingerprint of its images (see tensor.array_fingerprint) so runs and reports
-can name their inputs exactly. `clear_pseudo_label_cache` is called by the
-benchmark alone, which empties the cache before each pipeline operation as a
-new process per command would.
+with tensor.read_file) and synthetic blobs, give one. A dataset owns what is
+derived from its images, each computed the first time it is read: its
+fingerprint (see tensor.array_fingerprint), which runs and reports record to
+name their inputs exactly, and each model's pseudo-labels, so crafts that
+share a dataset and a model (an `ablate` sweep) label it once. A new dataset,
+from `take` or `subset` too, starts with neither.
 """
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +27,8 @@ class Dataset:
     images: np.ndarray
     labels: np.ndarray
     name: str = ""
-    fingerprint: str = field(init=False, compare=False)
+    # {model fingerprint: that model's argmax labels of the images}, filled by pseudo_labels
+    model_labels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo, hi = float(self.images.min()), float(self.images.max())
@@ -34,10 +37,13 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.labels.shape != (self.images.shape[0],):
             raise ValueError("label count does not match image count")
-        self.fingerprint = array_fingerprint(self.images)
 
     def __len__(self):
         return self.images.shape[0]
+
+    @cached_property
+    def fingerprint(self):
+        return array_fingerprint(self.images)
 
     @property
     def sample_shape(self):
@@ -140,16 +146,9 @@ def minibatches(dataset, B, epoch_seed=0, labels=None):
     return batches()
 
 
-_pseudo_label_cache: dict = {}
-
-
 def pseudo_labels(model, dataset):
-    """Labels assigned by the clean model's argmax, computed once and cached."""
-    key = (model.fingerprint(), dataset.fingerprint)
-    if key not in _pseudo_label_cache:
-        _pseudo_label_cache[key] = model.predict(dataset.images)
-    return _pseudo_label_cache[key]
-
-
-def clear_pseudo_label_cache():
-    _pseudo_label_cache.clear()
+    """Labels assigned by the clean model's argmax, computed once per model and kept on the dataset."""
+    key = model.fingerprint()
+    if key not in dataset.model_labels:
+        dataset.model_labels[key] = model.predict(dataset.images)
+    return dataset.model_labels[key]

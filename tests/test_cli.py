@@ -4,13 +4,13 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import threading
 from dataclasses import replace
 from unittest import mock
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uapforge import attack as A
@@ -171,6 +171,8 @@ OVERRIDES = {
     "env-rho-nan-craft": ("env", "attack.rho", float("nan"), "craft", 2),
     "file-r-nan-craft": ("file", "attack.r", float("nan"), "craft", 2),
     "set-sweep-rho-nan": ("set", "ablate", {"axis": "rho", "values": [1.0, float("nan")]}, "ablate", 2),
+    # numpy seeds a generator from a non-negative integer alone
+    "set-attack-seed-negative-craft": ("set", "attack.seed", -1, "craft", 2),
 }
 
 
@@ -371,6 +373,26 @@ def test_craft_numeric_failure_exits_4_with_one_error_line(workdir, capsys):
     assert cli.main(["--config", "run.json", "--set", "attack.rho=1e308", "craft"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: epoch 1, ") and err.count("\n") == 1, err
+    assert delta_paths(workdir) == []
+
+
+# (epsilon, the start of the one error line): a delta whose loss goes non-finite, and one whose
+# (-epsilon, epsilon) range is wider than a float64 holds, so that no initial delta can be drawn
+HUGE_EPSILONS = {
+    "1e200": "error: epoch 1, ",
+    "1e308": "error: epsilon 1e+308 is too large to draw delta from (-epsilon, epsilon)\n",
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("epsilon,start", HUGE_EPSILONS.items(), ids=HUGE_EPSILONS.keys())
+def test_craft_with_a_huge_epsilon_exits_4_with_one_error_line(workdir, capsys, epsilon, start):
+    assert cli.main(["--config", "run.json", "train"]) == 0
+    capsys.readouterr()
+    assert cli.main(["--config", "run.json", "--set", f"attack.epsilon={epsilon}", "--set", "attack.epochs=1",
+                     "craft"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(start) and err.count("\n") == 1, err
     assert delta_paths(workdir) == []
 
 
@@ -721,7 +743,9 @@ _KEYS = sorted(_dotted_keys(C.DEFAULTS))
 # small sizes throughout: values whose arrays cannot fit in memory are outside the contract. No drawn
 # string holds a "/", so a path written by `train` lands inside the example's directory or its parent.
 _STRINGS = st.text("ab.-\x00", max_size=4) | st.sampled_from(["idx", "synth", "mlp", "cnn_small", "csv", "rho"])
-_SCALARS = {bool: st.booleans(), int: st.integers(-2, 12), float: st.floats(), str: _STRINGS}
+# st.floats() seldom draws a magnitude near the float64 limit, where 2 * x overflows
+_SCALARS = {bool: st.booleans(), int: st.integers(-2, 12), float: st.floats() | st.sampled_from([1e308, -1e308]),
+            str: _STRINGS}
 _VALUES = st.recursive(
     st.none() | st.one_of(*_SCALARS.values()),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
@@ -745,24 +769,68 @@ def _of_its_kind(key):
 
 # (where the value goes, dotted key, value): a key is the schema's or an unknown one, and its value
 # JSON of any kind or of the key's own kind
+_WHERE = st.sampled_from(["set", "env", "file"])
 _OVERRIDES = st.lists(st.tuples(
-    st.sampled_from(["set", "env", "file"]),
+    _WHERE,
     st.sampled_from(_KEYS + ["zz", "a_b", "attack.zz", "dataset.n.zz", "model.train.zz.zz"]).flatmap(
         lambda key: st.tuples(st.just(key), _VALUES | _of_its_kind(key))),
 ).map(lambda o: (o[0], *o[1])), max_size=4)
+
+
+@st.composite
+def _steered_overrides(draw):
+    """Three draws in four: one schema key with a value of its own kind, which most often merges and so
+    reaches the command's own checks. Otherwise any of _OVERRIDES."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(_OVERRIDES)
+    key = draw(st.sampled_from(_KEYS))
+    return [(draw(_WHERE), key, draw(_of_its_kind(key)))]
+
+
+# a tiny run whose craft takes one epoch, and whose eval reads the delta each example starts with
 _TINY = ['dataset={"n": 24, "shape": [1, 4, 4], "num_classes": 2, "subset_size": null}',
-         'model={"arch": "mlp", "hidden": 4, "train": {"batch": 8}}']
+         'model={"arch": "mlp", "hidden": 4, "train": {"batch": 8}}',
+         'attack={"epochs": 1}', 'eval={"deltas": ["ok.uapt"]}']
+# what each example's directory starts with: a valid checkpoint at the tiny config's default path, and a
+# valid delta for it
+_ARTIFACTS = ["out/checkpoints/mlp-s0.uapt", "out/checkpoints/mlp-s0.uapt.json", "ok.uapt", "ok.uapt.json",
+              "ok.uapt.log.csv"]
+
+
+@pytest.fixture(scope="module")
+def contract_artifacts(tmp_path_factory):
+    """The directory holding _ARTIFACTS, made once by the tiny run's `train` and `craft`."""
+    root = tmp_path_factory.mktemp("contract-artifacts")
+    cwd = os.getcwd()
+    try:
+        os.chdir(root)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main([f"--set={item}" for item in _TINY] + ["train"]) == 0
+            assert cli.main([f"--set={item}" for item in _TINY] + ["craft"]) == 0
+        delta = next(line.split(": ", 1)[1] for line in out.getvalue().splitlines()
+                     if line.startswith("delta artifact: "))
+        for suffix in ("", ".json", ".log.csv"):
+            shutil.copy(delta + suffix, "ok.uapt" + suffix)
+    finally:
+        os.chdir(cwd)
+    return root
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=120, deadline=None)
+# the tracebacks this test has found, kept as examples: an epsilon too large to draw the initial delta
+# from, and a seed numpy cannot take
+@example(overrides=[("set", "attack.epsilon", 1e308)], command="craft", epochs=0, paths=["ok.uapt"])
+@example(overrides=[("env", "attack.seed", -1)], command="craft", epochs=0, paths=["ok.uapt"])
 @given(
-    overrides=_OVERRIDES,
-    command=st.sampled_from(["train", "verify"]),
+    overrides=_steered_overrides(),
+    command=st.sampled_from(["train", "craft", "eval", "verify"]),
     epochs=st.integers(0, 1),
     paths=st.lists(st.sampled_from(["ok.uapt", "missing.uapt", "a\x00b.uapt", "."]), min_size=1, max_size=2),
 )
-def test_any_config_exits_with_a_contract_code(tmp_path_factory, overrides, command, epochs, paths):
+def test_any_config_exits_with_a_contract_code(tmp_path_factory, contract_artifacts, overrides, command, epochs,
+                                               paths):
     # the tiny run's settings come first, so a drawn --set overrides them and a drawn file or env value
     # is merged and checked but then overridden
     sets = [f"--set={item}" for item in _TINY] + [f"--set=model.train.epochs={epochs}"]
@@ -781,10 +849,10 @@ def test_any_config_exits_with_a_contract_code(tmp_path_factory, overrides, comm
                 node = node[part]
             node[last] = value
     work = tmp_path_factory.mktemp("contract") / "work"
-    work.mkdir()
+    (work / "out" / "checkpoints").mkdir(parents=True)
+    for name in _ARTIFACTS:
+        shutil.copy(contract_artifacts / name, work / name)
     (work / "run.json").write_text(json.dumps(document))
-    delta = np.zeros(3, dtype=np.float32)
-    T.save_artifact(str(work / "ok.uapt"), delta, {"content_hash": T.content_hash(delta)})
     argv = ["--config", "run.json", *sets, command, *(paths if command == "verify" else [])]
     err = io.StringIO()
     cwd = os.getcwd()

@@ -1,4 +1,4 @@
-"""Dataset ingestion, synthetic blobs, mini-batching, pseudo-label cache."""
+"""Dataset ingestion, synthetic blobs, mini-batching, pseudo-labels kept on a dataset."""
 
 import struct
 import tracemalloc
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from uapforge import attack as A
 from uapforge import data as D
 from uapforge import models as M
 from uapforge.tensor import content_hash
@@ -233,14 +234,36 @@ def test_take_slices_images_and_labels():
 # -- pseudo-labels --------------------------------------------------------------------
 
 
-def test_pseudo_labels_cached_and_consistent():
-    D.clear_pseudo_label_cache()
+def test_pseudo_labels_cached_and_consistent(monkeypatch):
+    # a dataset keeps each model's labels: one predict per (dataset, model), however many crafts read them
+    predicted = []
+    predict = M.AttackTarget.predict
+
+    def counting_predict(self, X):
+        predicted.append(len(X))
+        return predict(self, X)
+
+    monkeypatch.setattr(M.AttackTarget, "predict", counting_predict)
     ds = D.synth_blobs(3, 40, 5, spread=0.05, seed=2)
     m = M.build_model([M.dense(5, 3)], (5,), seed=1)
     first = D.pseudo_labels(m, ds)
     second = D.pseudo_labels(m, ds)
-    assert first is second  # cache hit returns the same vector
-    assert np.array_equal(first, m.predict(ds.images))
+    assert first is second and predicted == [40]
+    assert np.array_equal(first, predict(m, ds.images))
+
+    part = ds.take(np.arange(0, 40, 2), "part")
+    assert np.array_equal(D.pseudo_labels(m, part), first[::2]) and predicted == [40, 20]
+    other = m.with_params(np.zeros_like(m.params))
+    assert other.fingerprint() != m.fingerprint()
+    assert np.array_equal(D.pseudo_labels(other, ds), np.zeros(40)) and predicted == [40, 20, 40]
+    assert D.pseudo_labels(m, ds) is first and predicted == [40, 20, 40]
+
+    fresh = D.synth_blobs(3, 40, 5, spread=0.05, seed=2)
+    config = A.AttackConfig(epochs=1, batch_size=20, k_model=1, k_data=1, rho=0.1, r=0.5, rescale_r=False)
+    predicted.clear()
+    deltas = [A.craft(config, m, fresh)[0] for _ in range(2)]
+    assert predicted == [40]
+    assert content_hash(deltas[0]) == content_hash(deltas[1])
 
 
 def test_pseudo_labels_match_ground_truth_on_well_trained_model():

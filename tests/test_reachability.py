@@ -6,11 +6,14 @@ spgd variant and a two-model ensemble with the alternating order), `eval`,
 `ablate`, `verify`, and a `train` on an IDX pair. Every `def` in
 `src/uapforge/*.py` must have been entered, apart from the allowlist below,
 whose entries code outside the package calls. A function only tests reach
-belongs in a test module.
+belongs in a test module. The sequence must also leave every module-level
+`dict`, `list` and `set` of the package as it found it: a command keeps no
+state for the next one.
 """
 
 import ast
 import json
+import pickle
 import sys
 from pathlib import Path
 
@@ -24,7 +27,6 @@ SRC = Path(uapforge.__file__).parent
 # (module, qualified name) of the functions no command runs, each with the caller that keeps it
 ALLOWED = {
     ("evaluate", "fooling_ratio"): "bench/workloads.py measures each craft workload's delta with it",
-    ("data", "clear_pseudo_label_cache"): "bench/workloads.py empties the cache before each pipeline operation",
 }
 
 CONFIG = {
@@ -95,9 +97,24 @@ def run_commands(tmp_path, capsys):
     return entered
 
 
+def module_containers():
+    """{"module.name": pickled bytes} of every module-level dict, list and set of the package."""
+    return {
+        f"{module_name.removeprefix('uapforge.')}.{name}": pickle.dumps(value)
+        for module_name, module in sorted(sys.modules.items())
+        if module_name.startswith("uapforge.")
+        for name, value in sorted(vars(module).items())
+        if type(value) in (dict, list, set)
+    }
+
+
 def test_every_function_is_run_by_a_command(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    before = module_containers()
     entered = run_commands(tmp_path, capsys)
+    after = module_containers()
+    changed = sorted(name for name in before if before[name] != after.get(name))
+    assert not changed, f"the commands changed module-level state {changed}: keep it on an object a call owns"
     defs = package_defs()
     assert set(ALLOWED) <= set(defs.values()), "an allowlisted function is gone; drop it from ALLOWED"
     unreached = sorted(name for key, name in defs.items() if key not in entered and name not in ALLOWED)
