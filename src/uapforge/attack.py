@@ -25,7 +25,7 @@ import numpy as np
 from .data import minibatches, pseudo_labels
 from .errors import ConfigError, CraftingFailed
 from .models import as_attack_target
-from .optim import AdamState, adam_step, l2_norm, l2_pgd_step, normalized_descent_step, sample_norms
+from .optim import AdamState, adam_step, l2_norm, l2_pgd_step, sample_norms
 from .tensor import TensorFormatError, content_hash, load_artifact, save_artifact
 
 ORDERS = ("model_first", "data_first", "alternating", "none")
@@ -153,35 +153,35 @@ def step_schedule(order, k_model, k_data):
 def inner_minimize(target, X, Y, steps, rho_t, r_t, alpha_m, alpha_d, clamp_box=False):
     """Run a step schedule from the clean model and samples; return (model_star, theta_star, x_star).
 
-    A model step is one normalized descent step of length alpha_m on the
-    parameters, so k_model steps of rho_t / k_model cannot leave the
-    rho_t-ball. A data step is `optim.l2_pgd_step` on the summed loss's input
-    gradient at the current theta-star: each sample moves alpha_d and is
-    projected onto its r_t-ball around the clean sample. So each step sees
-    the other side's latest iterate. Model steps are skipped when rho_t = 0
-    and data steps when r_t = 0.
+    Both sides step with `optim.l2_pgd_step` on their loss gradient at the
+    other side's latest iterate. A model step moves the flat parameters, a
+    batch of one, by alpha_m along the batch loss's parameter gradient and
+    projects them onto the rho_t-ball around the clean parameters. A data
+    step moves each sample by alpha_d along the summed loss's input gradient
+    and projects it onto its r_t-ball around the clean sample. Model steps
+    are skipped when rho_t = 0 and data steps when r_t = 0.
 
-    theta_star and x_star are float64 from their side's first step, and each
-    step is computed in float64. model_star is the target at theta_star in
-    the target's own dtype; every gradient is taken on it. A side that takes
-    no step comes back as the very input: model_star is target and
-    theta_star None, or x_star is X.
+    theta_star (flat) and x_star are float64 from their side's first step,
+    and each step is computed in float64. model_star is the target at
+    theta_star in the target's own dtype; every gradient is taken on it. A
+    side that takes no step comes back as the very input: model_star is
+    target and theta_star None, or x_star is X.
     """
     model_star, x = target, X
-    theta = x0 = None
+    theta = theta0 = x0 = None
     for step in steps:
         if step == "model" and rho_t > 0:
             if theta is None:
-                theta = target.flat_params().astype(np.float64)
+                theta = theta0 = target.flat_params().astype(np.float64)[None]
             _, grad = model_star.loss_grad(x, Y, "parameters")
-            theta = normalized_descent_step(theta, grad.astype(np.float64), alpha_m)
-            model_star = target.with_params(theta)
+            theta = l2_pgd_step(theta, grad.astype(np.float64)[None], alpha_m, theta0, rho_t)
+            model_star = target.with_params(theta[0])
         elif step == "data" and r_t > 0:
             if x0 is None:
                 x = x0 = np.asarray(X, dtype=np.float64)
             _, grad = model_star.loss_grad(x, Y, "input", reduction="sum")
             x = l2_pgd_step(x, grad.astype(np.float64), alpha_d, x0, r_t, clamp_box)
-    return model_star, theta, x
+    return model_star, None if theta is None else theta[0], x
 
 
 def uap_update(uap, model_star, X_star, Y, gamma):

@@ -226,22 +226,13 @@ def main(argv=None):
         sets.append(f"ablate.values={args.values}")
     try:
         cfg = C.load_config(args.config, sets=sets)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "craft":
-            return cmd_craft(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg)
-        if args.command == "ablate":
-            return cmd_ablate(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.paths)
+        # built at each call, so a command function rebound on the module (bench/spans.py) is the one run
+        commands = {"train": cmd_train, "craft": cmd_craft, "eval": cmd_eval, "ablate": cmd_ablate,
+                    "verify": lambda cfg: cmd_verify(cfg, args.paths)}
+        return commands[args.command](cfg)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        for cls, code in EXIT_CODES.items():
-            if isinstance(exc, cls):
-                return code
-    return 0
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

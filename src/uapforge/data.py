@@ -31,6 +31,9 @@ class Dataset:
     model_labels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.images.size:
+            what = "values per sample" if len(self.images) else "samples"
+            raise ValueError(f"empty dataset: images of shape {self.images.shape} hold no {what}")
         lo, hi = float(self.images.min()), float(self.images.max())
         if not (lo >= 0.0 and hi <= 1.0):  # written so that NaN fails it
             raise ValueError(f"image values outside [0, 1]: min {lo}, max {hi}")
@@ -133,8 +136,6 @@ def minibatches(dataset, B, epoch_seed=0, labels=None):
     if B < 1:
         raise ValueError("batch size must be >= 1")
     n = len(dataset)
-    if n == 0:
-        raise ValueError("empty dataset")
     Y = dataset.labels if labels is None else labels
     order = np.random.default_rng(epoch_seed).permutation(n)
 

@@ -1,11 +1,12 @@
-"""The three update rules the attack composes.
+"""The two update rules the attack composes.
 
-Normalized gradient descent on flat parameters (the inner loop's model step),
-per-sample l2-projected gradient descent on a batch (its data step: axis 0
-indexes samples, each steps and is projected onto its own ball), and Adam
-with an l-infinity clamp handled by the caller. Gradients with l2 norm below
-ZERO_GRAD_TOL skip the step instead of dividing by a tiny norm, which keeps
-every budget invariant intact.
+Per-sample l2-projected gradient descent on a batch (axis 0 indexes samples,
+each steps and is projected onto its own ball) runs both sides of the inner
+loop: the data step on a batch of samples, the model step on the flat
+parameters as a batch of one. Adam runs the ascent, with an l-infinity clamp
+handled by the caller. Gradients with l2 norm below ZERO_GRAD_TOL skip the
+step instead of dividing by a tiny norm, which keeps every budget invariant
+intact.
 
 Every l2 norm is one fixed-order numpy sum of squares per sample, never a
 BLAS dot product, whose partial sums follow the thread count; so the bytes
@@ -24,23 +25,6 @@ ZERO_GRAD_TOL = 1e-12
 # Relative slack for the inside-the-ball test; keeps projection idempotent
 # under floating-point rounding of the rescale.
 _BALL_SLACK = 1e-12
-
-
-def normalized_descent_step(theta, grad, alpha):
-    """One step of theta - alpha * grad / ||grad||_2.
-
-    The step has l2 length exactly alpha. A gradient with norm below
-    ZERO_GRAD_TOL returns theta unchanged.
-    """
-    if theta.shape != grad.shape:
-        raise ValueError(f"shape mismatch: theta {theta.shape}, grad {grad.shape}")
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
-    require_finite(grad, "gradient")
-    norm = l2_norm(grad)
-    if norm < ZERO_GRAD_TOL:
-        return theta
-    return theta - (alpha / norm) * grad
 
 
 def sample_norms(a):

@@ -157,9 +157,20 @@ def test_inner_model_single_step_collapse():
     X, Y = np.array([[0.8], [0.3]]), np.array([0, 0])
     rho_t = 0.2
     out = inner_model(m, X, Y, rho_t, 1)
-    _, grad = m.with_params(m.params.astype(np.float64)).loss_grad(X, Y, "parameters")
-    want = optim.normalized_descent_step(m.params.astype(np.float64), grad, rho_t)
-    assert np.array_equal(out.flat_params(), want)
+    theta = m.params.astype(np.float64)[None]
+    _, grad = m.with_params(theta[0]).loss_grad(X, Y, "parameters")
+    want = optim.l2_pgd_step(theta, grad[None], rho_t, theta, rho_t)
+    assert np.array_equal(out.flat_params(), want[0])
+
+
+def test_inner_model_step_longer_than_the_budget_lands_on_the_ball():
+    # a model step is projected onto the rho_t-ball, also when alpha_m alone would leave it
+    m = two_param_logistic()
+    X, Y = np.array([[0.8], [0.3]]), np.array([0, 0])
+    rho_t = 0.2
+    _, theta_star, _ = A.inner_minimize(m, X, Y, ("model",), rho_t, 0.0, 3 * rho_t, 0.0)
+    assert optim.l2_norm(theta_star - m.params) == pytest.approx(rho_t, rel=1e-12)
+    assert optim.l2_norm(theta_star - m.params) <= rho_t * (1 + 1e-12)
 
 
 def test_inner_model_budget_respected():

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import shutil
+import struct
 import threading
 from dataclasses import replace
 from unittest import mock
@@ -279,6 +280,51 @@ def test_missing_dataset_path_exits_2(workdir, capsys):
                    "--set", "dataset.images=missing.idx", "--set", "dataset.labels=missing2.idx", "train"])
     assert rc == 2
     assert "dataset.images" in capsys.readouterr().err
+
+
+def _idx_pair(n, labels):
+    """{file name: bytes} of an IDX pair: n blank 4x4 images, and a label file whose header counts n but holds `labels`."""
+    return {"img.idx": struct.pack(">IIII", D.IDX_IMAGE_MAGIC, n, 4, 4) + bytes(16 * n),
+            "lbl.idx": struct.pack(">II", D.IDX_LABEL_MAGIC, n) + bytes(labels)}
+
+
+IDX = ["--set", 'dataset={"source": "idx", "images": "img.idx", "labels": "lbl.idx"}']
+EMPTY = "invalid dataset section: empty dataset: images of shape"
+
+# (files to make in the work directory, argv on the default config, the start of the one error line): each
+# dataset section, sweep or override here is invalid, exits 2 and writes nothing
+EXIT_2_INPUTS = {
+    "empty-train-split": ({}, ["--set", "dataset.holdout_fraction=0.9999", "--set", "dataset.n=40", "train"],
+                          f"{EMPTY} (0, 1, 16, 16) hold no samples"),
+    "no-values-per-sample": ({}, ["--set", "dataset.shape=[0,4,4]", "train"],
+                             f"{EMPTY} (2000, 0, 4, 4) hold no values per sample"),
+    "idx-no-images": (_idx_pair(0, []), [*IDX, "train"], f"{EMPTY} (0, 1, 4, 4) hold no samples"),
+    "idx-without-images": ({}, ["--set", 'dataset={"source": "idx"}', "train"],
+                           "dataset.source 'idx' requires dataset.images"),
+    "unknown-source": ({}, ["--set", "dataset.source=lmdb", "train"], "unknown dataset.source 'lmdb'"),
+    "one-class": ({}, ["--set", "dataset.num_classes=1", "train"], "dataset.synth needs num_classes >= 2"),
+    "holdout-fraction-one": ({}, ["--set", "dataset.holdout_fraction=1.0", "train"],
+                             "dataset.holdout_fraction must be in [0, 1)"),
+    "idx-one-class": (_idx_pair(8, [0] * 8), [*IDX, "train"], "training dataset must carry at least two classes"),
+    "idx-truncated-labels": (_idx_pair(8, [0, 1] * 3), [*IDX, "train"],
+                             "invalid dataset section: truncated label data in lbl.idx"),
+    "ablate-no-values": ({}, ["ablate", "--axis", "r", "--values", "[]"], "ablate.values must be a non-empty list"),
+    "ablate-negative-rho": ({}, ["ablate", "--axis", "rho", "--values", "[-1]"],
+                            "invalid sweep value -1 for axis rho: "),
+    "set-without-value": ({}, ["--set", "attack.epochs", "train"], "--set expects key=value, got 'attack.epochs'"),
+}
+
+
+@pytest.mark.parametrize("inputs,argv,message", EXIT_2_INPUTS.values(), ids=EXIT_2_INPUTS.keys())
+def test_invalid_input_exits_2_with_its_message(workdir, capsys, inputs, argv, message):
+    for name, data in inputs.items():
+        (workdir / name).write_bytes(data)
+    made = sorted(workdir.rglob("*"))
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1, captured.err
+    assert sorted(workdir.rglob("*")) == made
 
 
 EVAL_DELTA = ["--config", "run.json", "--set", 'eval.deltas=["{path}"]', "eval"]

@@ -294,3 +294,12 @@ def test_dataset_rejects_out_of_range_values():
 def test_dataset_rejects_label_count_mismatch():
     with pytest.raises(ValueError, match="count"):
         D.Dataset(images=np.zeros((3, 2)), labels=np.zeros(2, dtype=np.int64))
+
+
+def test_dataset_rejects_images_without_samples_or_values():
+    with pytest.raises(ValueError, match=r"empty dataset: images of shape \(0, 1, 4, 4\) hold no samples"):
+        D.Dataset(images=np.zeros((0, 1, 4, 4)), labels=np.zeros(0, dtype=np.int64))
+    with pytest.raises(ValueError, match=r"empty dataset: images of shape \(3, 0\) hold no values per sample"):
+        D.Dataset(images=np.zeros((3, 0)), labels=np.zeros(3, dtype=np.int64))
+    with pytest.raises(ValueError, match="empty dataset"):
+        D.synth_blobs(4, 40, 6, spread=0.1).take(np.array([], dtype=np.int64), "none")

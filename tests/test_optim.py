@@ -1,4 +1,4 @@
-"""Update rules: normalized descent, l2 projection/PGD, Adam with bias correction."""
+"""Update rules: l2 projection/PGD (the model step as a batch of one too), Adam with bias correction."""
 
 import numpy as np
 import pytest
@@ -20,46 +20,50 @@ def reference_adam(grads, gamma, beta1=0.9, beta2=0.999, eps=1e-8):
     return updates
 
 
-# -- normalized descent ----------------------------------------------------
+# -- normalized descent: the model step, l2 PGD on the flat parameters as a batch of one --
 
 
 def test_normalized_step_forced_arithmetic():
-    out = optim.normalized_descent_step(np.array([1.0, 1.0]), np.array([3.0, 4.0]), 0.1)
-    assert out == pytest.approx([0.94, 0.92], abs=1e-15)
-    assert np.linalg.norm(out - [1.0, 1.0]) == pytest.approx(0.1, abs=1e-15)
+    theta = np.array([[1.0, 1.0]])
+    out = optim.l2_pgd_step(theta, np.array([[3.0, 4.0]]), 0.1, theta, np.inf)
+    assert out[0] == pytest.approx([0.94, 0.92], abs=1e-15)
+    assert np.linalg.norm(out - theta) == pytest.approx(0.1, abs=1e-15)
 
 
 def test_normalized_step_zero_gradient_is_identity():
-    theta = np.array([2.0, -1.0])
-    out = optim.normalized_descent_step(theta, np.zeros(2), 0.5)
-    assert out is theta
+    theta = np.array([[2.0, -1.0]])
+    out = optim.l2_pgd_step(theta, np.zeros((1, 2)), 0.5, theta, np.inf)
+    assert out.tobytes() == theta.tobytes()  # theta's values, in a new array
 
 
 def test_normalized_step_length_is_alpha():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        theta = rng.normal(size=7)
-        grad = rng.normal(size=7)
-        out = optim.normalized_descent_step(theta, grad, 0.05)
+        theta = rng.normal(size=(1, 7))
+        grad = rng.normal(size=(1, 7))
+        out = optim.l2_pgd_step(theta, grad, 0.05, theta, np.inf)
         assert np.linalg.norm(out - theta) == pytest.approx(0.05, abs=1e-9)
 
 
 def test_normalized_step_budget_triangle():
-    # K steps of rho/K each can never leave the rho ball
+    # K steps of rho/K each end inside the rho ball unprojected, so projecting onto it keeps every byte
     rng = np.random.default_rng(1)
-    theta0 = rng.normal(size=12)
-    theta = theta0
+    theta0 = rng.normal(size=(1, 12))
+    free = projected = theta0
     rho, K = 0.3, 10
     for _ in range(K):
-        theta = optim.normalized_descent_step(theta, rng.normal(size=12), rho / K)
-    assert np.linalg.norm(theta - theta0) <= rho + 1e-6
+        grad = rng.normal(size=(1, 12))
+        free = optim.l2_pgd_step(free, grad, rho / K, theta0, np.inf)
+        projected = optim.l2_pgd_step(projected, grad, rho / K, theta0, rho)
+    assert np.linalg.norm(free - theta0) <= rho + 1e-6
+    assert projected.tobytes() == free.tobytes()
 
 
 def test_normalized_step_rejects_nonfinite():
     with pytest.raises(ValueError):
-        optim.normalized_descent_step(np.zeros(2), np.array([np.nan, 1.0]), 0.1)
+        optim.l2_pgd_step(np.zeros((1, 2)), np.array([[np.nan, 1.0]]), 0.1, np.zeros((1, 2)), np.inf)
     with pytest.raises(ValueError):
-        optim.normalized_descent_step(np.zeros(2), np.zeros(3), 0.1)
+        optim.l2_pgd_step(np.zeros((1, 2)), np.zeros((1, 3)), 0.1, np.zeros((1, 2)), np.inf)
 
 
 # -- l2 projection -----------------------------------------------------------
