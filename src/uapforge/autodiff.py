@@ -12,10 +12,11 @@ parent's `grad` stays None. A node that needs no gradient keeps neither its
 parents nor its vjp, so a forward-only graph frees each layer's arrays as soon
 as the next layer exists.
 
-The primitive set is fixed to what a small classifier needs: matmul, 2-D
-convolution (stride 1, no padding), bias add, ReLU, 2x2 max-pool, flatten,
-per-channel affine normalization, and a fused softmax-cross-entropy. All
-reductions run in a fixed order so repeated runs are bit-identical.
+The primitive set is fixed to what a small classifier needs, one node per
+layer: matmul with an optional bias (a dense layer), 2-D convolution (stride 1,
+no padding) with its bias, ReLU, 2x2 max-pool, flatten, per-channel affine
+normalization, and a fused softmax-cross-entropy; `add_scalars` sums weighted
+losses. All reductions run in a fixed order so repeated runs are bit-identical.
 
 `maxpool2` takes the first maximal element of each window in row-major order
 (top-left, top-right, bottom-left, bottom-right), as `argmax` would: a later
@@ -88,28 +89,6 @@ def backward(root):
                 parent.grad = parent.grad + g
 
 
-def _unbroadcast(grad, shape):
-    """Sum `grad` down to `shape`, inverting numpy broadcasting."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
-def add(a, b):
-    """Broadcasting add; gradients are summed over broadcast axes."""
-    val = a.value + b.value
-
-    def vjp(g):
-        return (_unbroadcast(g, a.value.shape) if a.needs else None,
-                _unbroadcast(g, b.value.shape) if b.needs else None)
-
-    return Var(val, (a, b), vjp)
-
-
 def add_scalars(terms, weights):
     """Weighted sum of scalar Vars (used to combine per-model losses)."""
     if not terms:
@@ -122,14 +101,20 @@ def add_scalars(terms, weights):
     return Var(np.asarray(val), tuple(terms), vjp)
 
 
-def matmul(x, w):
-    """[b, n] @ [n, m] -> [b, m]."""
+def matmul(x, w, bias=None):
+    """[b, n] @ [n, m] -> [b, m], then + bias [m] when given: a dense layer as one node."""
     val = x.value @ w.value
+    parents = (x, w)
+    if bias is not None:
+        val = val + bias.value
+        parents += (bias,)
 
     def vjp(g):
-        return g @ w.value.T if x.needs else None, x.value.T @ g if w.needs else None
+        grads = (g @ w.value.T if x.needs else None, x.value.T @ g if w.needs else None,
+                 g.sum(axis=0) if bias is not None and bias.needs else None)
+        return grads[: len(parents)]
 
-    return Var(val, (x, w), vjp)
+    return Var(val, parents, vjp)
 
 
 def relu(x):

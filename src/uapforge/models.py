@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import minibatches
-from .errors import TrainingDiverged
+from .errors import ConfigError, TrainingDiverged
 from .tensor import TensorFormatError, array_fingerprint, load_artifact, require_finite, save_artifact
 
 
@@ -186,9 +186,6 @@ class AttackTarget:
         for "parameters", none for None.
         """
         X = self._check_input(X)
-        Y = np.asarray(Y)
-        if Y.shape != (X.shape[0],):
-            raise ValueError(f"labels shape {Y.shape} != batch ({X.shape[0]},)")
         if delta is not None:
             delta = np.asarray(delta, dtype=X.dtype)
             if delta.shape != X.shape[1:]:
@@ -276,9 +273,7 @@ class ModelState(AttackTarget):
         for layer in self.spec:
             kind = layer["kind"]
             if kind == "dense":
-                h = ad.matmul(h, next(it))
-                if layer.get("bias", True):
-                    h = ad.add(h, next(it))
+                h = ad.matmul(h, next(it), next(it) if layer.get("bias", True) else None)
             elif kind == "conv2d":
                 h = ad.conv2d(h, next(it), next(it))
             elif kind == "relu":
@@ -363,7 +358,7 @@ class Ensemble(AttackTarget):
         first = self.models[0]
         for m in self.models[1:]:
             if m.input_shape != first.input_shape or m.num_classes != first.num_classes:
-                raise ValueError("ensemble members must share input shape and class count")
+                raise ConfigError("ensemble members must share input shape and class count")
         self.models = tuple(self.models)
 
     @property

@@ -75,10 +75,10 @@ def _primitive_cases(seed):
     x_conv = rng2.uniform(0, 1, (2, 1, 5, 5))
 
     def dense_loss(v):
-        return ad.softmax_cross_entropy(ad.add(ad.matmul(v, ad.leaf(w_dense)), ad.leaf(b_dense)), labels2)
+        return ad.softmax_cross_entropy(ad.matmul(v, ad.leaf(w_dense), ad.leaf(b_dense)), labels2)
 
     def dense_w_loss(v):
-        return ad.softmax_cross_entropy(ad.add(ad.matmul(ad.leaf(x_dense), v), ad.leaf(b_dense)), labels2)
+        return ad.softmax_cross_entropy(ad.matmul(ad.leaf(x_dense), v, ad.leaf(b_dense)), labels2)
 
     def conv_loss(v):
         return ad.softmax_cross_entropy(ad.flatten(ad.conv2d(v, ad.leaf(w_conv), ad.leaf(b_conv))), labels2)

@@ -683,27 +683,42 @@ def test_malformed_or_missing_sidecar_exits_5(workdir, capsys, command, artifact
 
 NINE = ["--set", "dataset.shape=[1,9,9]"]
 ON_NINE = [*NINE, "--set", "model.checkpoint=nine.uapt"]
+ENSEMBLE = ["--set", 'model.ensemble=["out/checkpoints/mlp-s0.uapt", "other.uapt"]']
+# the default checkpoint and other.uapt, trained on other classes or another input shape
+ON_FOUR_CLASSES = [["train"], ["--set", "dataset.num_classes=4", "--set", "model.checkpoint=other.uapt", "train"]]
+ON_NINE_TOO = [["train"], [*NINE, "--set", "model.checkpoint=other.uapt", "train"]]
+ABLATE_NONE = ["ablate", "--axis", "order", "--values", '["none"]']
+MEMBERS = "ensemble members must share input shape and class count"
 
-# (commands that must succeed first, the command that must exit 2); {delta} is the crafted delta
+# (commands that must succeed first, the command that must exit 2, the start of its one error line after
+# "error: "); {delta} is the crafted delta
 SHAPE_MISMATCHES = {
-    "craft": ([["train"]], [*NINE, "craft"]),
-    "ablate": ([["train"]], [*NINE, "ablate", "--axis", "order", "--values", '["none"]']),
-    "eval-delta": ([["train"], ["craft"]], [*NINE, "--set", 'eval.deltas=["{delta}"]', "eval"]),
+    "craft": ([["train"]], [*NINE, "craft"], "dataset sample shape (1, 9, 9)"),
+    "ablate": ([["train"]], [*NINE, *ABLATE_NONE], "dataset sample shape (1, 9, 9)"),
+    "eval-delta": ([["train"], ["craft"]], [*NINE, "--set", 'eval.deltas=["{delta}"]', "eval"], "delta shape"),
     "eval-target": ([["train"], [*ON_NINE, "train"], [*ON_NINE, "craft"]],
                     [*NINE, "--set", 'eval.targets=["out/checkpoints/mlp-s0.uapt"]',
-                     "--set", 'eval.deltas=["{delta}"]', "eval"]),
+                     "--set", 'eval.deltas=["{delta}"]', "eval"], "model input shape"),
+    "ensemble-classes-craft": (ON_FOUR_CLASSES, [*ENSEMBLE, "craft"], MEMBERS),
+    "ensemble-classes-ablate": (ON_FOUR_CLASSES, [*ENSEMBLE, *ABLATE_NONE], MEMBERS),
+    "ensemble-shapes-craft": (ON_NINE_TOO, [*ENSEMBLE, "craft"], MEMBERS),
+    "ensemble-shapes-ablate": (ON_NINE_TOO, [*ENSEMBLE, *ABLATE_NONE], MEMBERS),
 }
 
 
-@pytest.mark.parametrize("setup,argv", SHAPE_MISMATCHES.values(), ids=SHAPE_MISMATCHES.keys())
-def test_shape_mismatch_exits_2(workdir, capsys, setup, argv):
+@pytest.mark.parametrize("setup,argv,message", SHAPE_MISMATCHES.values(), ids=SHAPE_MISMATCHES.keys())
+def test_shape_mismatch_exits_2(workdir, capsys, setup, argv, message):
     for args in setup:
         assert cli.main(["--config", "run.json", *args]) == 0
     delta = next(iter(delta_paths(workdir)), "")
+    made = sorted(workdir.rglob("*"))
     capsys.readouterr()
     assert cli.main(["--config", "run.json", *(a.format(delta=delta) for a in argv)]) == 2
-    err = capsys.readouterr().err
-    assert err.count("error:") == 1 and "shape" in err, err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1, captured.err
+    # no deltas/ or reports/ directory, nor any other file, was made
+    assert sorted(workdir.rglob("*")) == made
 
 
 def test_craft_writes_the_payload_once(workdir, monkeypatch):
@@ -787,7 +802,8 @@ def _dotted_keys(tree, prefix=""):
 
 _KEYS = sorted(_dotted_keys(C.DEFAULTS))
 # small sizes throughout: values whose arrays cannot fit in memory are outside the contract. No drawn
-# string holds a "/", so a path written by `train` lands inside the example's directory or its parent.
+# string holds a "/", so a path written by `train` lands inside the example's directory or its parent;
+# only a list of paths, which no command writes, may name a checkpoint under out/.
 _STRINGS = st.text("ab.-\x00", max_size=4) | st.sampled_from(["idx", "synth", "mlp", "cnn_small", "csv", "rho"])
 # st.floats() seldom draws a magnitude near the float64 limit, where 2 * x overflows
 _SCALARS = {bool: st.booleans(), int: st.integers(-2, 12), float: st.floats() | st.sampled_from([1e308, -1e308]),
@@ -801,7 +817,8 @@ _VALUES = st.recursive(
 
 
 def _of_its_kind(key):
-    """Values of the kind `key` takes, so that a draw also reaches the checks after the merge."""
+    """Values of the kind `key` takes, so that a draw also reaches the checks after the merge. A list of
+    paths may also name the valid checkpoints each example starts with."""
     if key not in _KEYS:
         return _VALUES
     node = C.DEFAULTS
@@ -809,7 +826,9 @@ def _of_its_kind(key):
         node = node[part]
     kind = type(node) if node is not None else C.NULL_KINDS[key]
     if kind is list:
-        return st.lists(_SCALARS[C.ELEMENT_KINDS.get(key, (float,))[0]], max_size=3)
+        element_kind, what = C.ELEMENT_KINDS.get(key, (float, None))
+        element = _SCALARS[element_kind]
+        return st.lists(element | st.sampled_from(_CHECKPOINTS) if what == "paths" else element, max_size=3)
     return _SCALARS.get(kind, _VALUES)
 
 
@@ -837,10 +856,12 @@ def _steered_overrides(draw):
 _TINY = ['dataset={"n": 24, "shape": [1, 4, 4], "num_classes": 2, "subset_size": null}',
          'model={"arch": "mlp", "hidden": 4, "train": {"batch": 8}}',
          'attack={"epochs": 1}', 'eval={"deltas": ["ok.uapt"]}']
-# what each example's directory starts with: a valid checkpoint at the tiny config's default path, and a
-# valid delta for it
-_ARTIFACTS = ["out/checkpoints/mlp-s0.uapt", "out/checkpoints/mlp-s0.uapt.json", "ok.uapt", "ok.uapt.json",
-              "ok.uapt.log.csv"]
+# the valid checkpoints each example's directory starts with: the tiny config's, at its default path, and
+# one trained on three classes, which does not fit with it in an ensemble
+_CHECKPOINTS = ["out/checkpoints/mlp-s0.uapt", "c3.uapt"]
+# what each example's directory starts with: those checkpoints, and a valid delta for the first
+_ARTIFACTS = [name + suffix for name in _CHECKPOINTS for suffix in ("", ".json")] + [
+    "ok.uapt", "ok.uapt.json", "ok.uapt.log.csv"]
 
 
 @pytest.fixture(scope="module")
@@ -854,6 +875,8 @@ def contract_artifacts(tmp_path_factory):
         with contextlib.redirect_stdout(out):
             assert cli.main([f"--set={item}" for item in _TINY] + ["train"]) == 0
             assert cli.main([f"--set={item}" for item in _TINY] + ["craft"]) == 0
+            three_classes = ["--set=dataset.num_classes=3", f"--set=model.checkpoint={_CHECKPOINTS[1]}"]
+            assert cli.main([f"--set={item}" for item in _TINY] + three_classes + ["train"]) == 0
         delta = next(line.split(": ", 1)[1] for line in out.getvalue().splitlines()
                      if line.startswith("delta artifact: "))
         for suffix in ("", ".json", ".log.csv"):
@@ -866,9 +889,10 @@ def contract_artifacts(tmp_path_factory):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=120, deadline=None)
 # the tracebacks this test has found, kept as examples: an epsilon too large to draw the initial delta
-# from, and a seed numpy cannot take
+# from, a seed numpy cannot take, and an ensemble of members with different class counts
 @example(overrides=[("set", "attack.epsilon", 1e308)], command="craft", epochs=0, paths=["ok.uapt"])
 @example(overrides=[("env", "attack.seed", -1)], command="craft", epochs=0, paths=["ok.uapt"])
+@example(overrides=[("set", "model.ensemble", _CHECKPOINTS)], command="craft", epochs=0, paths=["ok.uapt"])
 @given(
     overrides=_steered_overrides(),
     command=st.sampled_from(["train", "craft", "eval", "verify"]),

@@ -7,7 +7,7 @@ import oracles
 from uapforge import autodiff as ad
 from uapforge import data as D
 from uapforge import models as M
-from uapforge.errors import TrainingDiverged
+from uapforge.errors import ConfigError, TrainingDiverged
 from uapforge.tensor import array_fingerprint, content_hash
 
 
@@ -283,10 +283,12 @@ def test_perturbation_shifts_the_one_input_leaf():
     nodes = graph_nodes(loss_var)
     assert {id(n) for n in nodes if not n.parents} == {id(x_var)} | {id(p) for p in pvars}
     assert np.array_equal(x_var.value, X + delta)
-    # the adds are the two dense layers' bias adds, one bias leaf each
-    adds = [n for n in nodes if n.vjp is not None and n.vjp.__qualname__.startswith("add.")]
-    assert len(adds) == 2
-    assert all(n.parents[0] is not x_var and any(n.parents[1] is p for p in pvars) for n in adds)
+    # each dense layer is one matmul node whose parents are its input, its weight and its own bias leaf
+    dense = [n for n in nodes if n.vjp is not None and n.vjp.__qualname__.startswith("matmul.")]
+    own = list(zip(pvars[2::2], pvars[3::2]))  # each dense layer's (weight, bias), after the conv layer's two
+    assert len(dense) == len(own) == 2
+    assert {(id(n.parents[1]), id(n.parents[2])) for n in dense} == {(id(w), id(b)) for w, b in own}
+    assert all(len(n.parents) == 3 and n.parents[0] is not x_var for n in dense)
 
 
 @pytest.fixture()
@@ -321,8 +323,8 @@ def test_perturbation_graph_keeps_every_node_that_needs_a_gradient(built_vars):
     X = np.random.default_rng(8).uniform(0, 1, (5, 1, 8, 8))
     m._loss_graph(X, np.arange(5) % 4, delta=np.zeros((1, 8, 8)), wrt="perturbation")
     needed = [(node, parents, vjp) for node, parents, vjp in built_vars if node.needs]
-    # the input leaf, one node per layer, one per dense layer's bias add, and the loss
-    assert len(needed) == 1 + len(CNN_SPEC) + 2 + 1
+    # the input leaf, one node per layer, and the loss
+    assert len(needed) == 1 + len(CNN_SPEC) + 1
     assert all(node.parents is parents and node.vjp is vjp for node, parents, vjp in needed)
     assert all(node.parents and node.vjp is not None for node, _, _ in needed[1:])
 
@@ -389,6 +391,17 @@ def test_pruned_loss_grad_matches_the_full_tape(dtype, name):
         assert np.float64(loss).tobytes() == np.float64(float(loss_var.value)).tobytes()
         assert grad.dtype == want.dtype and grad.shape == want.shape
         assert grad.tobytes() == want.tobytes(), wrt
+
+
+@pytest.mark.parametrize("name", ["mlp", "ensemble"])
+def test_loss_grad_rejects_labels_that_do_not_fit_the_batch(name):
+    # the loss of every member checks the labels against its batch
+    shape, targets = _pruning_targets(np.float64)
+    X = np.random.default_rng(47).uniform(0, 1, (3,) + shape)
+    for Y in (np.arange(2), np.zeros((3, 1), dtype=np.int64)):
+        for wrt in ("parameters", "input"):
+            with pytest.raises(ValueError, match=rf"labels shape \({Y.shape[0]},"):
+                targets[name].loss_grad(X, Y, wrt)
 
 
 @pytest.mark.parametrize("name", ["cnn_small", "ensemble"])
@@ -485,7 +498,7 @@ def test_ensemble_rejects_empty_and_mismatched():
         M.Ensemble(())
     m1 = M.build_model([M.dense(4, 3)], (4,), seed=1)
     m2 = M.build_model([M.dense(5, 3)], (5,), seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="ensemble members must share"):
         M.Ensemble((m1, m2))
 
 
