@@ -6,10 +6,12 @@ single Adam ascent step on the shared perturbation with an l-infinity clamp.
 Setting rho or r to zero (or order "none") degrades the loop to the plain
 averaged-loss baseline, which is how the ablation variants are expressed.
 
-All budget-carrying quantities (theta-star, optimized samples, the
-perturbation itself) are stored in float64 regardless of the model's dtype,
-so the ball invariants hold exactly. Every gradient, inner or ascent, runs at
-the surrogate's own precision: it is taken on the surrogate at theta-star
+`craft` carries delta and its Adam moments from batch to batch; theta-star
+restarts at the target's flat `params` and steps as a batch of one. All
+budget-carrying quantities (theta-star, optimized samples, the perturbation
+itself) are stored in float64 regardless of the model's dtype, so the ball
+invariants hold exactly. Every gradient, inner or ascent, runs at the
+surrogate's own precision: it is taken on the surrogate at theta-star
 (`with_params` keeps the surrogate's dtype) with the samples cast to that
 dtype, and the step it feeds is computed in float64. So on a float32
 surrogate every gradient of a mini-batch runs at float32.
@@ -25,7 +27,7 @@ import numpy as np
 from .data import minibatches, pseudo_labels
 from .errors import ConfigError, CraftingFailed
 from .models import as_attack_target
-from .optim import AdamState, adam_step, l2_norm, l2_pgd_step, sample_norms
+from .optim import AdamState, adam_step, l2_pgd_step, sample_norms
 from .tensor import TensorFormatError, content_hash, load_artifact, save_artifact
 
 ORDERS = ("model_first", "data_first", "alternating", "none")
@@ -107,23 +109,13 @@ def schedule(config, t):
     return rho_t, r_t, rho_t / config.k_model, 1.25 * r_t / config.k_data
 
 
-@dataclass
-class UAPState:
-    """The perturbation, its Adam moments, and the l-infinity budget."""
-
-    delta: np.ndarray
-    adam: AdamState
-    epsilon: float
-
-
 def init_uap(sample_shape, epsilon, seed=0):
-    """delta drawn uniformly from (-epsilon, epsilon), fresh Adam moments."""
+    """The initial delta, drawn uniformly from (-epsilon, epsilon)."""
     rng = np.random.default_rng(seed)
     try:
-        delta = rng.uniform(-epsilon, epsilon, size=sample_shape)
+        return rng.uniform(-epsilon, epsilon, size=sample_shape)
     except OverflowError as exc:  # 2 * epsilon is beyond the largest float64
         raise CraftingFailed(f"epsilon {epsilon!r} is too large to draw delta from (-epsilon, epsilon)") from exc
-    return UAPState(delta=delta, adam=AdamState.zeros(sample_shape), epsilon=float(epsilon))
 
 
 def step_schedule(order, k_model, k_data):
@@ -154,25 +146,25 @@ def inner_minimize(target, X, Y, steps, rho_t, r_t, alpha_m, alpha_d, clamp_box=
     """Run a step schedule from the clean model and samples; return (model_star, theta_star, x_star).
 
     Both sides step with `optim.l2_pgd_step` on their loss gradient at the
-    other side's latest iterate. A model step moves the flat parameters, a
+    other side's latest iterate. A model step moves the target's `params`, a
     batch of one, by alpha_m along the batch loss's parameter gradient and
     projects them onto the rho_t-ball around the clean parameters. A data
     step moves each sample by alpha_d along the summed loss's input gradient
     and projects it onto its r_t-ball around the clean sample. Model steps
     are skipped when rho_t = 0 and data steps when r_t = 0.
 
-    theta_star (flat) and x_star are float64 from their side's first step,
-    and each step is computed in float64. model_star is the target at
-    theta_star in the target's own dtype; every gradient is taken on it. A
-    side that takes no step comes back as the very input: model_star is
-    target and theta_star None, or x_star is X.
+    theta_star (a [1, P] batch of one) and x_star are float64 from their
+    side's first step, and each step is computed in float64. model_star is
+    the target at theta_star[0] in the target's own dtype; every gradient is
+    taken on it. A side that takes no step comes back as the very input:
+    model_star is target and theta_star None, or x_star is X.
     """
     model_star, x = target, X
     theta = theta0 = x0 = None
     for step in steps:
         if step == "model" and rho_t > 0:
             if theta is None:
-                theta = theta0 = target.flat_params().astype(np.float64)[None]
+                theta = theta0 = target.params.astype(np.float64)[None]
             _, grad = model_star.loss_grad(x, Y, "parameters")
             theta = l2_pgd_step(theta, grad.astype(np.float64)[None], alpha_m, theta0, rho_t)
             model_star = target.with_params(theta[0])
@@ -181,21 +173,20 @@ def inner_minimize(target, X, Y, steps, rho_t, r_t, alpha_m, alpha_d, clamp_box=
                 x = x0 = np.asarray(X, dtype=np.float64)
             _, grad = model_star.loss_grad(x, Y, "input", reduction="sum")
             x = l2_pgd_step(x, grad.astype(np.float64), alpha_d, x0, r_t, clamp_box)
-    return model_star, None if theta is None else theta[0], x
+    return model_star, theta, x
 
 
-def uap_update(uap, model_star, X_star, Y, gamma):
+def uap_update(delta, adam, model_star, X_star, Y, gamma, epsilon):
     """One Adam ascent step on delta, then clamp to [-epsilon, epsilon].
 
     The gradient of the mean batch loss at X_star + delta, taken on
     model_star at its own precision, is lifted to float64 and negated before
     the Adam step (Adam descends; the attack maximizes). Returns the new
-    state and the loss the gradient was taken at.
+    delta, the new Adam moments and the loss the gradient was taken at.
     """
-    loss, grad = model_star.loss_grad(X_star, Y, "perturbation", delta=uap.delta)
-    update, adam = adam_step(uap.adam, -grad.astype(np.float64), gamma)
-    delta = np.clip(uap.delta + update, -uap.epsilon, uap.epsilon)
-    return UAPState(delta=delta, adam=adam, epsilon=uap.epsilon), loss
+    loss, grad = model_star.loss_grad(X_star, Y, "perturbation", delta=delta)
+    update, adam = adam_step(adam, -grad.astype(np.float64), gamma)
+    return np.clip(delta + update, -epsilon, epsilon), adam, loss
 
 
 @dataclass
@@ -204,9 +195,6 @@ class RunLog:
 
     epochs: list = field(default_factory=list)
     total_seconds: float = 0.0
-
-    def add_epoch(self, **row):
-        self.epochs.append(row)
 
     def summary(self):
         return {
@@ -219,7 +207,7 @@ class RunLog:
         }
 
     def csv(self):
-        """The per-epoch rows as CSV text under a header of their keys, in `add_epoch` order."""
+        """The per-epoch rows as CSV text under a header of their keys, in the order `craft` appended them."""
         cols = list(self.epochs[0])
         lines = [",".join(cols)]
         for row in self.epochs:
@@ -267,8 +255,10 @@ def craft(config, model_or_models, dataset):
         )
     resolved = replace(config, r=config.effective_r(target.input_shape), rescale_r=False)
     labels = pseudo_labels(target, dataset)
-    theta0 = target.flat_params().astype(np.float64)
-    uap = init_uap(target.input_shape, resolved.epsilon, seed=_subseed(resolved.seed, "init-delta"))
+    theta0 = target.params.astype(np.float64)[None]
+    epsilon = float(resolved.epsilon)
+    delta = init_uap(target.input_shape, resolved.epsilon, seed=_subseed(resolved.seed, "init-delta"))
+    adam = AdamState.zeros(target.input_shape)
     shuffle_seed = _subseed(resolved.seed, "shuffle")
     steps = step_schedule(resolved.order, resolved.k_model, resolved.k_data)
     log = RunLog()
@@ -291,14 +281,15 @@ def craft(config, model_or_models, dataset):
                     try:
                         model_star, theta_star, x_star = minimize(batch, budgets) if future is None else future.result()
                         with np.errstate(over="ignore", invalid="ignore"):
-                            uap, loss = uap_update(uap, model_star, x_star, batch.Y, resolved.gamma)
+                            delta, adam, loss = uap_update(
+                                delta, adam, model_star, x_star, batch.Y, resolved.gamma, epsilon)
                     except (ValueError, FloatingPointError) as exc:
                         raise CraftingFailed(f"epoch {t}, batch indices {batch.indices[:4]}...: {exc}") from exc
-                    model_disp = 0.0 if theta_star is None else l2_norm(theta_star - theta0)
+                    model_disp = 0.0 if theta_star is None else float(sample_norms(theta_star - theta0).max())
                     data_disp = 0.0 if x_star is batch.X else float(sample_norms(x_star - batch.X).max())
-                    delta_inf = float(np.abs(uap.delta).max())
+                    delta_inf = float(np.abs(delta).max())
                     for name, value, bound in (
-                        ("l-infinity", delta_inf, uap.epsilon),
+                        ("l-infinity", delta_inf, epsilon),
                         ("model neighborhood", model_disp, rho_t + 1e-6),
                         ("data neighborhood", data_disp, r_t + 1e-6),
                     ):
@@ -307,20 +298,20 @@ def craft(config, model_or_models, dataset):
                     losses.append(loss)
                     model_disps.append(model_disp)
                     data_disps.append(data_disp)
-            log.add_epoch(
-                epoch=t,
-                rho_t=rho_t,
-                r_t=r_t,
-                alpha_m=alpha_m,
-                alpha_d=alpha_d,
-                mean_loss=float(np.mean(losses)),
-                max_model_disp=max(model_disps),
-                max_data_disp=max(data_disps),
-                max_delta_inf=float(np.abs(uap.delta).max()),
-                seconds=time.perf_counter() - epoch_start,
-            )
+            log.epochs.append({
+                "epoch": t,
+                "rho_t": rho_t,
+                "r_t": r_t,
+                "alpha_m": alpha_m,
+                "alpha_d": alpha_d,
+                "mean_loss": float(np.mean(losses)),
+                "max_model_disp": max(model_disps),
+                "max_data_disp": max(data_disps),
+                "max_delta_inf": delta_inf,  # the epoch's last batch's, as delta stands at the epoch's end
+                "seconds": time.perf_counter() - epoch_start,
+            })
     log.total_seconds = time.perf_counter() - start_total
-    return uap.delta, log
+    return delta, log
 
 
 # -- artifact files -------------------------------------------------------

@@ -133,10 +133,10 @@ PREDICT_CHUNK = 1024
 class AttackTarget:
     """Loss gradient and chunked prediction shared by models and ensembles.
 
-    A subclass supplies `_check_input` (cast and validate a batch), `logits`
-    and `_cross_entropy` (the loss Var of an input Var plus the parameter
-    leaves it used, in `flat_params` order, each needing a gradient when
-    asked to).
+    A subclass supplies `params` (the flat parameter vector), `_check_input`
+    (cast and validate a batch), `logits` and `_cross_entropy` (the loss Var
+    of an input Var plus the parameter leaves it used, in `params` order,
+    each needing a gradient when asked to).
     """
 
     def predict(self, X):
@@ -151,7 +151,7 @@ class AttackTarget:
     def loss_grad(self, X, Y, wrt, delta=None, reduction="mean"):
         """Loss and its gradient w.r.t. one quantity.
 
-        wrt "parameters" -> flat vector matching flat_params(); "input" ->
+        wrt "parameters" -> flat vector matching `params`; "input" ->
         same shape as X, taken at X + delta; "perturbation" -> one sample's
         shape, the input gradient summed over the batch.
         """
@@ -169,10 +169,10 @@ class AttackTarget:
         elif wrt == "perturbation":
             grad = x_var.grad.sum(axis=0)
         elif pvars:
-            # each block at its own parameters' dtype, as flat_params concatenates them
+            # each block at its own parameters' dtype, as an ensemble's `params` joins them
             grad = np.concatenate([p.grad.astype(p.value.dtype, copy=False).reshape(-1) for p in pvars])
         else:
-            grad = np.zeros(0, dtype=self.flat_params().dtype)
+            grad = np.zeros(0, dtype=self.params.dtype)
         require_finite(grad, "gradient")
         return loss, grad
 
@@ -247,9 +247,6 @@ class ModelState(AttackTarget):
         return array_fingerprint(spec_blob, self.params)
 
     # -- the interface the attack and evaluation drive ------------------
-
-    def flat_params(self):
-        return self.params
 
     def logits(self, X):
         X = self._check_input(X)
@@ -368,7 +365,9 @@ class Ensemble(AttackTarget):
     def fingerprint(self):
         return array_fingerprint("|".join(m.fingerprint() for m in self.models).encode())
 
-    def flat_params(self):
+    @property
+    def params(self):
+        """The members' parameters joined end to end, at their common dtype."""
         return np.concatenate([m.params for m in self.models])
 
     def with_params(self, theta):

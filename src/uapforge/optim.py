@@ -10,8 +10,9 @@ intact.
 
 Every l2 norm is one fixed-order numpy sum of squares per sample, never a
 BLAS dot product, whose partial sums follow the thread count; so the bytes
-of a step do not depend on OPENBLAS_NUM_THREADS. A sample's result depends
-on that sample alone, also when other samples of its batch are projected.
+of a step do not depend on OPENBLAS_NUM_THREADS. A sample's step depends on
+that sample and its gradient row alone, also when other samples of its batch
+are projected; the gradient itself comes from the caller.
 """
 
 from dataclasses import dataclass
@@ -45,11 +46,6 @@ def sample_norms(a):
             unit = rows[big] / peak[:, None]
             norms[big] = peak * np.sqrt(np.sum(unit * unit, axis=1))
     return norms
-
-
-def l2_norm(a):
-    """The l2 norm of all of `a`'s entries, as `sample_norms` measures one sample."""
-    return float(sample_norms(a.reshape(1, -1))[0])
 
 
 def l2_project(v, center, radius):

@@ -5,10 +5,12 @@ import os
 import subprocess
 import sys
 import threading
-from dataclasses import replace
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from uapforge import attack as A
@@ -160,7 +162,7 @@ def test_inner_model_single_step_collapse():
     theta = m.params.astype(np.float64)[None]
     _, grad = m.with_params(theta[0]).loss_grad(X, Y, "parameters")
     want = optim.l2_pgd_step(theta, grad[None], rho_t, theta, rho_t)
-    assert np.array_equal(out.flat_params(), want[0])
+    assert np.array_equal(out.params, want[0])
 
 
 def test_inner_model_step_longer_than_the_budget_lands_on_the_ball():
@@ -169,8 +171,17 @@ def test_inner_model_step_longer_than_the_budget_lands_on_the_ball():
     X, Y = np.array([[0.8], [0.3]]), np.array([0, 0])
     rho_t = 0.2
     _, theta_star, _ = A.inner_minimize(m, X, Y, ("model",), rho_t, 0.0, 3 * rho_t, 0.0)
-    assert optim.l2_norm(theta_star - m.params) == pytest.approx(rho_t, rel=1e-12)
-    assert optim.l2_norm(theta_star - m.params) <= rho_t * (1 + 1e-12)
+    assert optim.sample_norms(theta_star - m.params)[0] == pytest.approx(rho_t, rel=1e-12)
+    assert optim.sample_norms(theta_star - m.params)[0] <= rho_t * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_inner_model_returns_theta_star_as_a_float64_batch_of_one(dtype):
+    m = M.build_model([M.dense(2, 3)], (2,), seed=0, dtype=dtype)
+    X, Y = np.array([[0.8, 0.1], [0.3, 0.5]]), np.array([0, 2])
+    model_star, theta_star, _ = A.inner_minimize(m, X, Y, ("model", "model"), 0.2, 0.0, 0.1, 0.0)
+    assert theta_star.dtype == np.float64 and theta_star.shape == (1, m.params.size)
+    assert model_star.params.tobytes() == theta_star[0].astype(dtype).tobytes()
 
 
 def test_inner_model_budget_respected():
@@ -180,7 +191,7 @@ def test_inner_model_budget_respected():
     Y = rng.integers(0, 2, 8)
     for rho_t in (0.1, 0.5, 2.0):
         out = inner_model(m, X, Y, rho_t, 10)
-        disp = np.linalg.norm(out.flat_params() - m.params)
+        disp = np.linalg.norm(out.params - m.params)
         assert disp <= rho_t + 1e-6
 
 
@@ -305,7 +316,7 @@ def test_inner_gradients_run_at_the_surrogate_dtype(dtype, monkeypatch):
 
     def recording(self, X, Y, wrt, **kwargs):
         loss, grad = loss_grad(self, X, Y, wrt, **kwargs)
-        seen.append((wrt, self.flat_params().dtype, grad.dtype))
+        seen.append((wrt, self.params.dtype, grad.dtype))
         return loss, grad
 
     monkeypatch.setattr(M.AttackTarget, "loss_grad", recording)
@@ -317,10 +328,10 @@ def test_inner_gradients_run_at_the_surrogate_dtype(dtype, monkeypatch):
         m, X, Y, A.step_schedule("alternating", k, k), rho_t, r_t, rho_t / k, 1.25 * r_t / k
     )
     assert theta_star.dtype == x_star.dtype == np.float64
-    assert optim.l2_norm(theta_star - m.params) <= rho_t * (1 + 1e-12)
+    assert optim.sample_norms(theta_star - m.params)[0] <= rho_t * (1 + 1e-12)
     assert optim.sample_norms(x_star - X).max() <= r_t * (1 + 1e-12)
-    assert model_star.params.tobytes() == theta_star.astype(dtype).tobytes()
-    A.uap_update(A.init_uap((6,), 0.05), model_star, x_star, Y, 0.01)
+    assert model_star.params.tobytes() == theta_star[0].astype(dtype).tobytes()
+    A.uap_update(A.init_uap((6,), 0.05), optim.AdamState.zeros((6,)), model_star, x_star, Y, 0.01, 0.05)
     assert [wrt for wrt, _, _ in seen] == ["parameters", "input"] * k + ["perturbation"]
     seen.clear()
     A.craft(tiny_config(epochs=2, batch_size=8), m, ds)
@@ -367,20 +378,21 @@ def test_uap_update_clamps_to_epsilon():
     m = fixed_linear_2d()
     X = np.tile(np.array([[0.6, 0.4]]), (4, 1))
     Y = np.array([0, 0, 0, 0])
-    uap = A.init_uap((2,), 0.05, seed=1)
+    delta = A.init_uap((2,), 0.05, seed=1)
     # enormous learning rate forces the pre-clamp value far outside the box
-    out, _ = A.uap_update(uap, m, X, Y, gamma=10.0)
-    assert np.abs(out.delta).max() <= 0.05
-    assert np.any(np.abs(out.delta) == 0.05)
+    out, _, _ = A.uap_update(delta, optim.AdamState.zeros((2,)), m, X, Y, gamma=10.0, epsilon=0.05)
+    assert np.abs(out).max() <= 0.05
+    assert np.any(np.abs(out) == 0.05)
 
 
 def test_uap_update_zero_gradient_keeps_delta():
     m = M.build_model([M.dense(2, 2)], (2,), seed=0, dtype=np.float64)
     m = m.with_params(np.zeros(6))  # constant logits: loss insensitive to delta
-    uap = A.init_uap((2,), 0.05, seed=2)
-    before = uap.delta.copy()
-    out, _ = A.uap_update(uap, m, np.array([[0.4, 0.6]]), np.array([0]), gamma=0.01)
-    assert np.array_equal(out.delta, before)
+    delta = A.init_uap((2,), 0.05, seed=2)
+    before = delta.copy()
+    out, _, _ = A.uap_update(delta, optim.AdamState.zeros((2,)), m, np.array([[0.4, 0.6]]), np.array([0]),
+                             gamma=0.01, epsilon=0.05)
+    assert np.array_equal(out, before)
 
 
 def test_uap_updates_ascend_loss():
@@ -388,21 +400,21 @@ def test_uap_updates_ascend_loss():
     rng = np.random.default_rng(5)
     X = rng.uniform(0.2, 0.8, (16, 2))
     Y = m.predict(X)
-    uap = A.init_uap((2,), 0.3, seed=3)
-    before = oracles.loss(m, X, Y, delta=uap.delta)
+    delta, adam = A.init_uap((2,), 0.3, seed=3), optim.AdamState.zeros((2,))
+    before = oracles.loss(m, X, Y, delta=delta)
     for _ in range(100):
-        uap, _ = A.uap_update(uap, m, X, Y, gamma=1e-3)
-    after = oracles.loss(m, X, Y, delta=uap.delta)
+        delta, adam, _ = A.uap_update(delta, adam, m, X, Y, gamma=1e-3, epsilon=0.3)
+    after = oracles.loss(m, X, Y, delta=delta)
     assert after >= before
 
 
 def test_init_uap_within_budget_and_seeded():
     a = A.init_uap((1, 4, 4), 0.1, seed=7)
     b = A.init_uap((1, 4, 4), 0.1, seed=7)
-    assert np.array_equal(a.delta, b.delta)
-    assert np.abs(a.delta).max() <= 0.1
+    assert np.array_equal(a, b)
+    assert np.abs(a).max() <= 0.1
     c = A.init_uap((1, 4, 4), 0.1, seed=8)
-    assert not np.array_equal(a.delta, c.delta)
+    assert not np.array_equal(a, c)
 
 
 # -- craft --------------------------------------------------------------------------
@@ -461,9 +473,9 @@ def test_craft_budget_violation_raises(blob_setup, monkeypatch):
     model, ds = blob_setup
     ascent = A.uap_update
 
-    def escaping_update(uap, *args):
-        out, loss = ascent(uap, *args)
-        return replace(out, delta=out.delta + 2 * out.epsilon), loss
+    def escaping_update(delta, adam, model_star, X_star, Y, gamma, epsilon):
+        delta, adam, loss = ascent(delta, adam, model_star, X_star, Y, gamma, epsilon)
+        return delta + 2 * epsilon, adam, loss
 
     monkeypatch.setattr(A, "uap_update", escaping_update)
     with pytest.raises(CraftingFailed, match="l-infinity budget violated"):
@@ -499,16 +511,15 @@ def test_craft_failure_names_the_first_failing_batch_and_waits_for_the_pair(blob
 # a tiny craft whose ascent step leaves the l-infinity ball; prints the optimize flag and the error
 _ESCAPING_CRAFT = """
 import sys
-from dataclasses import replace
 from uapforge import attack as A, data as D, models as M
 from uapforge.errors import CraftingFailed
 
 ascent = A.uap_update
 
 
-def escaping_update(uap, *args):
-    out, loss = ascent(uap, *args)
-    return replace(out, delta=out.delta + 2 * out.epsilon), loss
+def escaping_update(delta, adam, model_star, X_star, Y, gamma, epsilon):
+    delta, adam, loss = ascent(delta, adam, model_star, X_star, Y, gamma, epsilon)
+    return delta + 2 * epsilon, adam, loss
 
 
 A.uap_update = escaping_update
@@ -534,8 +545,8 @@ def test_seed_salts_and_initial_delta_pinned():
     # FNV-1a seed salts and the initial delta draw: these fix every crafted delta's bytes
     assert [A._subseed(s, "init-delta") for s in (0, 3)] == [11545150317119548076, 11545150317119548079]
     assert [A._subseed(s, "shuffle") for s in (0, 3)] == [5151100648028894894, 5151100648028894893]
-    uap = A.init_uap((1, 8, 8), 0.1, seed=A._subseed(3, "init-delta"))
-    assert content_hash(uap.delta) == "55255b8fc0e4471c02c529781e68770a36e45c96"
+    delta = A.init_uap((1, 8, 8), 0.1, seed=A._subseed(3, "init-delta"))
+    assert content_hash(delta) == "55255b8fc0e4471c02c529781e68770a36e45c96"
 
 
 def test_craft_orders_pairwise_distinct(blob_setup):
@@ -609,6 +620,63 @@ def test_multi_batch_craft_bytes_pinned(blob_setup, name):
     overrides, ensemble, delta_hash, log_hash = MULTI_BATCH_CRAFTS[name]
     delta, log = A.craft(tiny_config(**overrides), [model, second_member(ds)] if ensemble else model, ds)
     assert (content_hash(delta), content_hash(log_without_seconds(log).encode())) == (delta_hash, log_hash)
+
+
+class CallingThreadExecutor:
+    """A stand-in for `ThreadPoolExecutor` whose `submit` runs the call at once, on the calling thread."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+@pytest.fixture(scope="module")
+def conv_setup():
+    """20 blob images of 1x12x12 and, per dtype, two untrained cnn_small surrogates."""
+    shape = (1, 12, 12)
+    ds = D.synth_blobs(3, 20, shape, spread=0.1, seed=13)
+    spec = M.make_architecture("cnn_small", shape, 3, hidden=8)
+    models = {dtype: [M.build_model(spec, shape, seed=seed, dtype=dtype) for seed in (1, 2)]
+              for dtype in (np.float32, np.float64)}
+    return ds, models
+
+
+@settings(max_examples=16, deadline=None)
+@given(
+    order=st.sampled_from(A.ORDERS),
+    k_model=st.integers(1, 3),
+    k_data=st.integers(1, 3),
+    rho=st.sampled_from([0.0, 0.3]),
+    r=st.sampled_from([0.0, 0.5]),
+    curriculum=st.booleans(),
+    clamp_data_box=st.booleans(),
+    batches=st.integers(1, 5),
+    members=st.sampled_from([1, 2]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+)
+def test_paired_craft_equals_serial_craft(conv_setup, order, k_model, k_data, rho, r, curriculum,
+                                          clamp_data_box, batches, members, dtype):
+    # the pair's second batch minimized on the worker thread, or on the calling thread after the first
+    ds, models = conv_setup
+    config = tiny_config(epochs=2, batch_size=-(-len(ds) // batches), order=order, k_model=k_model,
+                         k_data=k_data, rho=rho, r=r, curriculum=curriculum, clamp_data_box=clamp_data_box)
+    target = models[dtype][:members]
+    paired = A.craft(config, target, ds)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(A, "ThreadPoolExecutor", CallingThreadExecutor)
+        serial = A.craft(config, target, ds)
+    assert paired[0].tobytes() == serial[0].tobytes()
+    assert log_without_seconds(paired[1]) == log_without_seconds(serial[1])
 
 
 def test_craft_parameterless_model_takes_no_model_step():

@@ -456,13 +456,13 @@ def test_ensemble_gradient_is_mean_of_member_gradients():
 
 def test_ensemble_parameter_gradient_blocks_keep_member_precision():
     # the float32 member's block is rounded to float32 even though the mixed
-    # graph computes it in float64; the joined vector has flat_params' dtype
+    # graph computes it in float64; the joined vector has the ensemble's params' dtype
     m1 = M.build_model([M.dense(4, 3)], (4,), seed=1, dtype=np.float32)
     m2 = M.build_model([M.dense(4, 3)], (4,), seed=2, dtype=np.float64)
     X = np.random.default_rng(5).uniform(0, 1, (5, 4))
     ens = M.Ensemble((m1, m2))
     _, grad = ens.loss_grad(X, np.array([0, 1, 2, 0, 1]), "parameters")
-    assert grad.dtype == ens.flat_params().dtype == np.float64
+    assert grad.dtype == ens.params.dtype == np.float64
     block = grad[: m1.params.size]
     assert np.any(block != 0.0)
     assert np.array_equal(block.astype(np.float32).astype(np.float64), block)
@@ -476,7 +476,20 @@ def test_with_params_keeps_each_models_dtype():
     assert m64.with_params(theta).params is theta
     ens = M.Ensemble((m32, m64)).with_params(np.concatenate([theta, theta]))
     assert [m.params.dtype for m in ens.models] == [np.float32, np.float64]
-    assert ens.flat_params().tobytes() == np.concatenate([theta.astype(np.float32), theta]).tobytes()
+    assert ens.params.tobytes() == np.concatenate([theta.astype(np.float32), theta]).tobytes()
+
+
+def test_ensemble_params_join_the_members_and_round_trip_through_with_params():
+    m32 = M.build_model([M.dense(4, 3)], (4,), seed=1, dtype=np.float32)
+    m64 = M.build_model([M.dense(4, 3)], (4,), seed=2, dtype=np.float64)
+    ens = M.Ensemble((m32, m64))
+    assert ens.params.dtype == np.float64
+    assert ens.params.tobytes() == np.concatenate([m32.params.astype(np.float64), m64.params]).tobytes()
+    back = ens.with_params(ens.params)
+    assert [m.params.tobytes() for m in back.models] == [m32.params.tobytes(), m64.params.tobytes()]
+    assert [m.params.dtype for m in back.models] == [np.float32, np.float64]
+    with pytest.raises(AttributeError):
+        ens.params = np.zeros(30)
 
 
 def test_with_params_checks_only_the_length_and_shares_the_checked_layers():
